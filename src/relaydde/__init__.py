@@ -13,11 +13,16 @@ Module map:
 
     model     parameter/validation layer, coefficient and nonlinearity values
     exact     event-driven exact propagation and piecewise-affine paths
-    maps      affine return maps, fixed points, classification, basins
+    maps      return-map coefficients, fixed points, classify, basins
     numeric   one-step integrator for the smoothed system, comparisons
     tables    embedded benchmark dataset
-    analysis  benchmark regression, coexistence pairing, scans, convergence
+    analysis  benchmark grading from classify, coexistence pairing, scans,
+              convergence
     cli       command-line interface (relaydde <subcommand>)
+
+classify is the one verdict pipeline: each closed-form candidate is
+validated by exact propagation before it is reported.  Result records are
+frozen dataclasses; dataclasses.asdict gives their JSON form.
 """
 
 from .analysis import (
@@ -43,7 +48,6 @@ from .exact import (
     is_slowly_oscillating,
     path_sup_distance,
     propagate,
-    shape_signature,
     zeros,
 )
 from .maps import (
@@ -52,7 +56,6 @@ from .maps import (
     STABLE_2T,
     STABLE_T,
     UNSTABLE_T,
-    AffineMap1D,
     BasinDescriptor,
     Classification,
     HZero,
@@ -65,9 +68,7 @@ from .maps import (
     dual_params,
     type1_coefficients,
     type1_fixed_point,
-    type1_map,
     type2_coefficients,
-    type2_map,
     type2_two_cycle,
 )
 from .model import (
@@ -80,15 +81,12 @@ from .model import (
     nonlinearity_slope_at_zero,
     nonlinearity_value,
     oscillation_condition,
-    params_from_mapping,
     parse_config_text,
-    smoothing_from_mapping,
     validate_geometry,
 )
 from .numeric import (
     DenseSolution,
     NonFiniteState,
-    ShapeLost,
     StepTooLarge,
     compare_exact_smoothed,
     corner_windows,
@@ -96,12 +94,10 @@ from .numeric import (
     integrate,
     one_period_multiplier,
     parabola_coefficients,
-    perturbation_growth,
 )
 from .tables import ROWS, TableRow, rows_for
 
 __all__ = [
-    "AffineMap1D",
     "BasinDescriptor",
     "Classification",
     "CoexistenceReport",
@@ -130,7 +126,6 @@ __all__ = [
     "STABLE_T",
     "ScanCell",
     "ScanReport",
-    "ShapeLost",
     "SmoothingSpec",
     "StepTooLarge",
     "TableRow",
@@ -153,22 +148,16 @@ __all__ = [
     "one_period_multiplier",
     "oscillation_condition",
     "parabola_coefficients",
-    "params_from_mapping",
     "parse_config_text",
     "path_sup_distance",
-    "perturbation_growth",
     "propagate",
     "reproduce_tables",
     "rows_for",
     "scan",
-    "shape_signature",
     "smoothing_convergence",
-    "smoothing_from_mapping",
     "type1_coefficients",
     "type1_fixed_point",
-    "type1_map",
     "type2_coefficients",
-    "type2_map",
     "type2_two_cycle",
     "validate_geometry",
     "zeros",

@@ -21,16 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exact import ConstantHistory, PiecewisePath, path_sup_distance, propagate
-from .maps import (
-    _validate_one_zero,
-    _validate_two_zero,
-    classify,
-    dual_params,
-    type1_coefficients,
-    type1_fixed_point,
-    type2_coefficients,
-    type2_two_cycle,
-)
+from .maps import SHAPE_INVALID, STABLE_2T, STABLE_T, UNSTABLE_T, classify, dual_params
 from .model import Params, RelayDDEError, SmoothingSpec, validate_geometry
 from .numeric import compare_exact_smoothed
 from .tables import ROWS, TableRow, rows_for
@@ -64,26 +55,33 @@ def _printed_match(row: TableRow, computed: float | None) -> bool:
     return abs(computed - row.h_star_expected) <= row.h_tolerance
 
 
+# per benchmark family: coefficient periods per orbit, the kinds it validates
+# as, its name in the reason of a ShapeInvalid candidate, and the raw
+# closed-form level reported when classify has no candidate of the family
+_FAMILY = {
+    "two_zero": (1, (STABLE_T, UNSTABLE_T), "two-zero",
+                 lambda v: None if v.m == 1.0 else v.b / (v.m - 1.0)),
+    "one_zero": (2, (STABLE_2T,), "one-zero",
+                 lambda v: None if v.k == -1.0 else -v.d / (v.k + 1.0)),
+}
+
+
 def grade_row(row: TableRow) -> RowResult:
-    """Recompute one row's orbit from scratch and grade the benchmark entry."""
-    p = row.params
-    if row.family == "two_zero":
-        period = p.period
-        m, _ = type1_coefficients(p)
-        if m == 1.0:
-            return RowResult(row, None, period, "FAIL:formula")
-        h = type1_fixed_point(p)
-        if h >= 0.0:
-            return RowResult(row, h, period, "FAIL:formula")
-        shape_ok, _ = _validate_two_zero(p, h)
-    else:
-        period = 2.0 * p.period
-        k, d = type2_coefficients(p)
-        if d <= 0.0 or abs(k) >= 1.0:
-            h = -d / (k + 1.0) if k != -1.0 else None
-            return RowResult(row, h, period, "FAIL:formula")
-        h = type2_two_cycle(p)[0]
-        shape_ok, _ = _validate_one_zero(p, h)
+    """Grade one benchmark entry against the classify verdicts for its row.
+
+    The family's validated orbit, or its ShapeInvalid candidate, supplies the
+    computed value.  When classify has no candidate of the family, the row
+    is FAIL:formula and carries the raw closed-form value, if defined.
+    """
+    periods, kinds, name, raw_level = _FAMILY[row.family]
+    period = periods * row.params.period
+    verdicts = classify(row.params)
+    hit = next((v for v in verdicts if v.kind in kinds
+                or (v.kind == SHAPE_INVALID and name in v.reason)), None)
+    if hit is None:
+        return RowResult(row, raw_level(verdicts[0]), period, "FAIL:formula")
+    shape_ok = hit.validated
+    h = hit.h_star[0] if isinstance(hit.h_star, tuple) else hit.h_star
     value_ok = _printed_match(row, h)
     if value_ok and shape_ok:
         status = "PASS"
@@ -141,20 +139,6 @@ class CoexistenceReport:
     convergence_periods: tuple[int, int]
     return_map_residuals: tuple[float, float]
     tail_distances: tuple[float, float]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "params": {"a1": self.params.a1, "a2": self.params.a2,
-                       "p1": self.params.p1, "p2": self.params.p2},
-            "dual": {"a1": self.dual.a1, "a2": self.dual.a2,
-                     "p1": self.dual.p1, "p2": self.dual.p2},
-            "h_unstable": self.h_unstable,
-            "h_stable": list(self.h_stable),
-            "shift_sup_distance": self.shift_sup_distance,
-            "convergence_periods": list(self.convergence_periods),
-            "return_map_residuals": list(self.return_map_residuals),
-            "tail_distances": list(self.tail_distances),
-        }
 
 
 def coexistence_check(params: Params, *, horizon_periods: int = 30) -> CoexistenceReport:
@@ -252,8 +236,8 @@ class ScanReport:
     """Grid classification over a parameter box."""
 
     axes: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]
+    overlap_free: bool  # declared before cells: the JSON payload lists it first
     cells: tuple[ScanCell, ...]
-    overlap_free: bool
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -305,17 +289,6 @@ class ScanReport:
                             queue.append(flat)
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "axes": [list(ax) for ax in self.axes],
-            "overlap_free": self.overlap_free,
-            "cells": [
-                {"a1": c.a1, "a2": c.a2, "p1": c.p1, "p2": c.p2,
-                 "kinds": list(c.kinds), "boundary": c.boundary}
-                for c in self.cells
-            ],
-        }
 
 
 def _axis(lo: float, hi: float, n: int) -> tuple[float, ...]:
@@ -375,16 +348,6 @@ class ConvergenceRow:
 class ConvergenceTable:
     rows: tuple[ConvergenceRow, ...]
     fitted_c: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "rows": [
-                {"delta": r.delta, "max_dev_overall": r.max_dev_overall,
-                 "residual": r.residual}
-                for r in self.rows
-            ],
-            "fitted_c": self.fitted_c,
-        }
 
 
 def smoothing_convergence(params: Params, h: float, deltas,

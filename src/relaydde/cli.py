@@ -27,6 +27,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .analysis import (
@@ -170,11 +171,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _params_jsonable(p: Params) -> dict:
-    return {"a1": p.a1, "a2": p.a2, "p1": p.p1, "p2": p.p2}
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -209,14 +206,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     params = _params(args)
     verdicts = classify(params)
     try:
-        basin_jsonable = basin(params).to_jsonable()
+        basin_jsonable = asdict(basin(params))
     except NotApplicable:
         basin_jsonable = None
     fmt = args.format or "json"
     if fmt == "json":
         payload = _json_text({
-            "params": _params_jsonable(params),
-            "verdicts": [v.to_jsonable() for v in verdicts],
+            "params": asdict(params),
+            "verdicts": [asdict(v) for v in verdicts],
             "basin": basin_jsonable,
         })
     else:
@@ -243,7 +240,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         if fmt == "json":
             payload = _json_text([
                 {"table": r.row.table_id, "index": r.row.index,
-                 **_params_jsonable(r.row.params),
+                 **asdict(r.row.params),
                  "h_expected": r.row.h_star_expected,
                  "h_computed": r.computed_h,
                  "period": r.computed_period,
@@ -273,7 +270,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     report = run_scan(*ranges, resolution)
     fmt = args.format or "json"
     if fmt == "json":
-        jsonable = report.to_jsonable()
+        jsonable = asdict(report)
         jsonable["kind_counts"] = report.kind_counts()
         payload = _json_text(jsonable)
     else:
@@ -300,7 +297,7 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
     table = smoothing_convergence(params, h, deltas, t_end)
     fmt = args.format or "json"
     if fmt == "json":
-        payload = _json_text(table.to_jsonable())
+        payload = _json_text(asdict(table))
     else:
         payload = _csv_text(
             ["delta", "max_dev_overall", "residual"],
@@ -319,7 +316,7 @@ def _cmd_coexist(args: argparse.Namespace) -> int:
     report = coexistence_check(params, horizon_periods=horizon)
     fmt = args.format or "json"
     if fmt == "json":
-        payload = _json_text(report.to_jsonable())
+        payload = _json_text(asdict(report))
     else:
         payload = _csv_text(
             ["h_unstable", "h_stable_low", "h_stable_high", "shift_sup_distance",

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -149,14 +148,13 @@ def propagate(
     times = [t]
     values = [x]
     fb = 1.0 if h < 0.0 else -1.0
-    flips: deque[float] = deque()  # pending feedback flip times, at most one
+    t_flip = math.inf  # pending feedback flip time; at most one is ever pending
     span = t_end - start_time
     budget = 1000 + int(span * (4.0 + 8.0 / min(params.p1, params.p2, 1.0)))
     while t < t_end - TIME_TOL:
         budget -= 1
         if budget < 0:
             raise DegenerateStall("event budget exceeded; dynamics did not stay slowly oscillating")
-        t_flip = flips[0] if flips else math.inf
         t_stop = min(t_end, _next_switch_after(params, t), t_flip)
         a_mid = coefficient_value(params, (t + t_stop) / 2.0)
         slope = a_mid * fb
@@ -167,27 +165,27 @@ def propagate(
             if z_cand <= t_stop + TIME_TOL:
                 z = z_cand
         if z is not None and z < t_stop - TIME_TOL:
-            if flips:
+            if t_flip < math.inf:
                 raise DegenerateStall("zero within one delay of the previous zero")
             times.append(z)
             values.append(0.0)
-            flips.append(z + 1.0)
+            t_flip = z + 1.0
             t, x = z, 0.0
             continue
         x_new = x + slope * (t_stop - t)
         if z is not None:
             # the zero lands on the event time itself
-            if flips:
+            if t_flip < math.inf:
                 raise DegenerateStall("zero coincides with a pending feedback flip")
             x_new = 0.0
         times.append(t_stop)
         values.append(x_new)
         t, x = t_stop, x_new
-        while flips and flips[0] <= t + TIME_TOL:
-            flips.popleft()
+        if t_flip <= t + TIME_TOL:
+            t_flip = math.inf
             fb = -fb
         if z is not None:
-            flips.append(t + 1.0)
+            t_flip = t + 1.0
     if times[-1] < t_end:  # an event landed within TIME_TOL of t_end
         times[-1] = t_end
     return PiecewisePath(start_time=start_time, times=tuple(times), values=tuple(values))
@@ -221,34 +219,6 @@ def is_slowly_oscillating(path: PiecewisePath) -> bool:
     """True if consecutive zeros of the path are separated by more than 1."""
     zs = zeros(path)
     return all(b - a > 1.0 for a, b in zip(zs, zs[1:]))
-
-
-def shape_signature(path: PiecewisePath, window: tuple[float, float]) -> dict:
-    """Coarse shape of the path on [w0, w1): zero count and boundary signs.
-
-    start_sign is the sign of the path just after w0, end_sign its sign just
-    before w1, each probed at the midpoint between the window edge and the
-    nearest interior zero (or the opposite edge when no zero intervenes).
-    """
-    w0, w1 = window
-    if not w0 < w1:
-        raise ValueError("window must satisfy w0 < w1")
-    zs = [z for z in zeros(path) if w0 <= z < w1]
-    first = zs[0] if zs else w1
-    last = zs[-1] if zs else w0
-    probe_lo = (w0 + min(first, w1)) / 2.0
-    probe_hi = (max(last, w0) + w1) / 2.0
-    sign_lo = _sign(path.value_at(probe_lo))
-    sign_hi = _sign(path.value_at(probe_hi))
-    return {"zero_count": len(zs), "start_sign": sign_lo, "end_sign": sign_hi}
-
-
-def _sign(v: float) -> int:
-    if v > 0.0:
-        return 1
-    if v < 0.0:
-        return -1
-    return 0
 
 
 def path_sup_distance(

@@ -22,7 +22,8 @@ reported as ShapeInvalid rather than silently trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .exact import ConstantHistory, propagate, zeros
 from .model import Params, RelayDDEError
@@ -52,29 +53,11 @@ class NotApplicable(RelayDDEError):
     """The requested description is outside its hypotheses."""
 
 
-@dataclass(frozen=True)
-class AffineMap1D:
-    slope: float
-    intercept: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
-            raise ValueError("affine map needs finite slope and intercept")
-
-    def __call__(self, h: float) -> float:
-        return self.slope * h + self.intercept
-
-
 def type1_coefficients(params: Params) -> tuple[float, float]:
     """Slope m and offset b of the two-zero return map x(T) = m*h - b."""
     m = 2.0 * params.a2 / params.a1 - 1.0
     b = params.a1 * (params.p1 - 2.0) + params.a2 * (6.0 - (2.0 * params.p1 + params.p2))
     return m, b
-
-
-def type1_map(params: Params) -> AffineMap1D:
-    m, b = type1_coefficients(params)
-    return AffineMap1D(m, -b)
 
 
 def type1_fixed_point(params: Params) -> float:
@@ -90,12 +73,6 @@ def type2_coefficients(params: Params) -> tuple[float, float]:
     k = 1.0 - 2.0 * params.a2 / params.a1
     d = params.a1 * params.p1 + params.a2 * (2.0 - 2.0 * params.p1 - params.p2)
     return k, d
-
-
-def type2_map(params: Params) -> tuple[AffineMap1D, AffineMap1D]:
-    """The pair (F1, F2): F1 acts on h < 0, F2 on h > 0, shared slope k."""
-    k, d = type2_coefficients(params)
-    return AffineMap1D(k, d), AffineMap1D(k, -d)
 
 
 def apply_F(h: float, k: float, d: float) -> float:
@@ -126,9 +103,6 @@ class BasinDescriptor:
 
     kind: str  # "all_nonzero" or "interval"
     radius: float | None = None
-
-    def to_jsonable(self) -> dict:
-        return {"kind": self.kind, "radius": self.radius}
 
 
 def basin(params: Params) -> BasinDescriptor:
@@ -161,23 +135,6 @@ class Classification:
     validated: bool
     boundary: bool = False
     reason: str = ""
-
-    def to_jsonable(self) -> dict:
-        h = self.h_star
-        if isinstance(h, tuple):
-            h = list(h)
-        return {
-            "kind": self.kind,
-            "h_star": h,
-            "period": self.period,
-            "m": self.m,
-            "b": self.b,
-            "k": self.k,
-            "d": self.d,
-            "validated": self.validated,
-            "boundary": self.boundary,
-            "reason": self.reason,
-        }
 
 
 def _validate_two_zero(params: Params, h: float) -> tuple[bool, str]:
@@ -213,17 +170,44 @@ def _validate_one_zero(params: Params, h: float) -> tuple[bool, str]:
     return True, ""
 
 
+class _Branch(NamedTuple):
+    """One closed-form orbit family: where it applies and how it is checked."""
+
+    kind: str
+    applies: Callable[[float, float, float, float], bool]  # on (m, b, k, d)
+    level: Callable[[Params], float]  # candidate starting level h*
+    validate: Callable[[Params, float], tuple[bool, str]]
+    periods: int  # coefficient periods per orbit
+    label: str  # names the candidate, and its zero count, in ShapeInvalid reasons
+
+
+_BRANCHES = (
+    _Branch(STABLE_T, lambda m, b, k, d: abs(m) < 1.0 and b > 0.0,
+            type1_fixed_point, _validate_two_zero, 1, "stable two-zero candidate"),
+    _Branch(UNSTABLE_T, lambda m, b, k, d: m > 1.0 and b < 0.0,
+            type1_fixed_point, _validate_two_zero, 1, "unstable two-zero candidate"),
+    _Branch(STABLE_2T, lambda m, b, k, d: abs(k) < 1.0 and d > 0.0,
+            lambda params: type2_two_cycle(params)[0], _validate_one_zero, 2,
+            "one-zero two-cycle candidate"),
+)
+
+
 def classify(params: Params) -> tuple[Classification, ...]:
     """All verdicts the closed-form maps support for these parameters.
 
     Validated orbit verdicts (StableT, UnstableT, Stable2T) come first; a
     map-level Diverges2T verdict follows when k < -1; candidates whose orbit
-    fails propagation checks are appended as ShapeInvalid records.  When no
+    fails propagation checks are appended as ShapeInvalid records, whose
+    reason names the candidate's family ("two-zero" or "one-zero").  When no
     branch applies at all, a single ShapeInvalid record is returned, with
-    boundary set if the parameters sit on an excluded equality.
+    boundary set if the parameters sit on an excluded equality.  Raises
+    ValueError when a map coefficient m, b, k or d is not finite.
     """
     m, b = type1_coefficients(params)
     k, d = type2_coefficients(params)
+    bad = [f"{name} = {v!r}" for name, v in zip("mbkd", (m, b, k, d)) if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"return-map coefficients are not finite ({', '.join(bad)}) at {params}")
     boundary = m in (1.0, -1.0) or k in (1.0, -1.0) or b == 0.0 or d == 0.0
     T = params.period
 
@@ -233,43 +217,17 @@ def classify(params: Params) -> tuple[Classification, ...]:
 
     validated: list[Classification] = []
     failed: list[Classification] = []
-
-    if abs(m) < 1.0 and b > 0.0:
-        h = b / (m - 1.0)
-        if h >= 0.0:
-            failed.append(record(SHAPE_INVALID, h, None, False,
-                                 "two-zero fixed point is not negative"))
+    for branch in _BRANCHES:
+        if not branch.applies(m, b, k, d):
+            continue
+        h = branch.level(params)
+        ok, why = (branch.validate(params, h) if h < 0.0
+                   else (False, "starting level is not negative"))
+        if ok:
+            h_star = (h, -h) if branch.periods == 2 else h
+            validated.append(record(branch.kind, h_star, branch.periods * T, True))
         else:
-            ok, why = _validate_two_zero(params, h)
-            if ok:
-                validated.append(record(STABLE_T, h, T, True))
-            else:
-                failed.append(record(SHAPE_INVALID, h, None, False,
-                                     f"stable two-zero candidate: {why}"))
-    if m > 1.0 and b < 0.0:
-        h = b / (m - 1.0)
-        if h >= 0.0:
-            failed.append(record(SHAPE_INVALID, h, None, False,
-                                 "two-zero fixed point is not negative"))
-        else:
-            ok, why = _validate_two_zero(params, h)
-            if ok:
-                validated.append(record(UNSTABLE_T, h, T, True))
-            else:
-                failed.append(record(SHAPE_INVALID, h, None, False,
-                                     f"unstable two-zero candidate: {why}"))
-    if abs(k) < 1.0 and d > 0.0:
-        h = -d / (k + 1.0)
-        if h >= 0.0:
-            failed.append(record(SHAPE_INVALID, h, None, False,
-                                 "one-zero cycle level is not negative"))
-        else:
-            ok, why = _validate_one_zero(params, h)
-            if ok:
-                validated.append(record(STABLE_2T, (h, -h), 2.0 * T, True))
-            else:
-                failed.append(record(SHAPE_INVALID, h, None, False,
-                                     f"one-zero two-cycle candidate: {why}"))
+            failed.append(record(SHAPE_INVALID, h, None, False, f"{branch.label}: {why}"))
 
     out = list(validated)
     if k < -1.0:

@@ -185,32 +185,3 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         out[key] = value
     return out
-
-
-def params_from_mapping(mapping: dict[str, str]) -> Params:
-    """Build Params from string-valued mapping entries a1, a2, p1, p2."""
-    values = {}
-    for name in ("a1", "a2", "p1", "p2"):
-        if name not in mapping:
-            raise ValueError(f"missing parameter {name!r}")
-        try:
-            values[name] = float(mapping[name])
-        except ValueError:
-            raise ValueError(f"parameter {name!r} is not a number: {mapping[name]!r}") from None
-    return Params(**values)
-
-
-def smoothing_from_mapping(mapping: dict[str, str]) -> SmoothingSpec:
-    """Build SmoothingSpec from optional mapping entries delta and profile."""
-    raw_delta = mapping.get("delta", "0")
-    try:
-        delta = float(raw_delta)
-    except ValueError:
-        raise ValueError(f"parameter 'delta' is not a number: {raw_delta!r}") from None
-    raw_profile = mapping.get("profile", Profile.AFFINE.value)
-    try:
-        profile = Profile(raw_profile)
-    except ValueError:
-        allowed = ", ".join(p.value for p in Profile)
-        raise ValueError(f"unknown profile {raw_profile!r}; expected one of: {allowed}") from None
-    return SmoothingSpec(delta=delta, profile=profile)

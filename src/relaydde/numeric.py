@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import ConstantHistory, propagate, zeros as path_zeros
-from .maps import NotApplicable, classify
 from .model import (
     Params,
     RelayDDEError,
@@ -51,10 +50,6 @@ class StepTooLarge(RelayDDEError):
 
 class NonFiniteState(RelayDDEError):
     """The integrated state left the double range."""
-
-
-class ShapeLost(RelayDDEError):
-    """A perturbed orbit no longer has the two-zero period layout."""
 
 
 @dataclass(frozen=True)
@@ -416,31 +411,3 @@ def one_period_multiplier(params: Params, h_center: float, eps0: float = 1e-6) -
     plus = propagate(params, ConstantHistory(h_center + eps0), T)
     minus = propagate(params, ConstantHistory(h_center - eps0), T)
     return (plus.end_value - minus.end_value) / (2.0 * eps0)
-
-
-def _two_zero_shape_ok(params: Params, path) -> bool:
-    T = params.period
-    zs = [z for z in path_zeros(path) if z < T - 1e-9]
-    return len(zs) == 2 and zs[-1] < T - 1.0
-
-
-def perturbation_growth(params: Params, h_star: float, eps0: float) -> float:
-    """Measured one-period growth factor of a perturbation off h_star.
-
-    Requires a validated unstable period-T orbit; propagates h_star +- eps0
-    exactly over one period and returns the mean one-sided quotient
-    (x(T) - h_star) / (+-eps0), which matches the return-map slope m.
-    """
-    if not (1e-8 <= eps0 <= 1e-3):
-        raise ValueError("eps0 must lie in [1e-8, 1e-3]")
-    verdicts = classify(params)
-    if not any(v.kind == "UnstableT" and v.validated for v in verdicts):
-        raise NotApplicable("no validated unstable period-T orbit at these parameters")
-    T = params.period
-    quots = []
-    for sgn in (1.0, -1.0):
-        path = propagate(params, ConstantHistory(h_star + sgn * eps0), T)
-        if not _two_zero_shape_ok(params, path):
-            raise ShapeLost(f"orbit from {h_star + sgn * eps0!r} left the two-zero layout")
-        quots.append((path.end_value - h_star) / (sgn * eps0))
-    return 0.5 * (quots[0] + quots[1])

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -135,7 +136,7 @@ def test_coexistence_canonical_pair():
     assert all(n <= 25 for n in rep.convergence_periods)
     assert all(r <= 1e-6 for r in rep.return_map_residuals)
     assert all(d <= 1e-6 for d in rep.tail_distances)
-    blob = json.dumps(rep.to_jsonable())
+    blob = json.dumps(asdict(rep))
     decoded = json.loads(blob)
     assert decoded["h_unstable"] == -0.5
     assert decoded["dual"]["a1"] == 6.0
@@ -229,7 +230,7 @@ def test_scan_validation():
 
 def test_scan_jsonable():
     rep = scan((0.9, 1.1), (5.4, 6.6), (2.7, 3.3), (0.9, 1.1), 2)
-    decoded = json.loads(json.dumps(rep.to_jsonable()))
+    decoded = json.loads(json.dumps(asdict(rep)))
     assert decoded["overlap_free"] is True
     assert len(decoded["cells"]) == 16
     assert decoded["cells"][0]["kinds"][0] == "UnstableT"
@@ -248,7 +249,7 @@ def test_convergence_stable_orbit():
         assert ratio == pytest.approx(0.5, abs=0.05)
     assert 0.4 < tab.fitted_c < 0.6
     assert tab.rows[-1].residual <= tab.fitted_c * tab.rows[-1].delta
-    decoded = json.loads(json.dumps(tab.to_jsonable()))
+    decoded = json.loads(json.dumps(asdict(tab)))
     assert len(decoded["rows"]) == 3
     assert decoded["fitted_c"] == tab.fitted_c
 

@@ -165,6 +165,12 @@ def test_config_supplies_flags_and_explicit_flags_win(tmp_path, monkeypatch, cap
     assert main(["simulate", "--config", "run.cfg", "--t-end", "4"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1].startswith("4.0,")
+    # malformed config values are input errors
+    for bad, message in (("a1 = x\n", "config value for 'a1' is not valid"),
+                         ("profile = step\n", "unknown profile 'step'")):
+        cfg.write_text(bad)
+        assert main(["simulate", "--config", "run.cfg"]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_exit_codes(capsys, tmp_path):
@@ -205,3 +211,17 @@ def test_scan_span_validation(capsys):
     assert main(["scan", "--a1", "1", "--a2", "6", "--p1", "3", "--p2", "1",
                  "--resolution", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("point", [("1e300", "1e-300", "1e300", "1"),
+                                   ("1e300", "1e300", "1e300", "1e300")])
+def test_classify_non_finite_coefficients_rejected(point, fmt, capsys):
+    flags = [tok for name, v in zip(("a1", "a2", "p1", "p2"), point)
+             for tok in (f"--{name}", v)]
+    assert main(["classify", *flags, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "not finite" in captured.err
+    assert "Traceback" not in captured.err

@@ -12,7 +12,6 @@ from relaydde.exact import (
     is_slowly_oscillating,
     path_sup_distance,
     propagate,
-    shape_signature,
     zeros,
 )
 from relaydde.model import Params, coefficient_value
@@ -197,27 +196,6 @@ def test_one_period_map_matches_one_zero_formula():
         two = propagate(params, ConstantHistory(h), 2.0 * params.period)
         want2 = k * k * h + (k - 1.0) * d
         assert abs(two.end_value - want2) < 1e-9 * max(1.0, abs(want2))
-
-
-def test_shape_signature_windows():
-    params = Params(6.0, 1.0, 1.0, 3.0)
-    path = propagate(params, ConstantHistory(-1.8), 8.0)
-    T = params.period
-    first = shape_signature(path, (0.0, T))
-    second = shape_signature(path, (T, 2.0 * T))
-    assert first == {"zero_count": 1, "start_sign": -1, "end_sign": 1}
-    assert second == {"zero_count": 1, "start_sign": 1, "end_sign": -1}
-    both = shape_signature(path, (0.0, 2.0 * T))
-    assert both["zero_count"] == 2
-    assert both["start_sign"] == -1 and both["end_sign"] == -1
-
-
-def test_shape_signature_no_zero_window():
-    path = PiecewisePath(0.0, (0.0, 1.0, 2.0), (1.0, 2.0, 0.5))
-    sig = shape_signature(path, (0.0, 2.0))
-    assert sig == {"zero_count": 0, "start_sign": 1, "end_sign": 1}
-    with pytest.raises(ValueError):
-        shape_signature(path, (2.0, 2.0))
 
 
 def test_zeros_interpolation_and_merge():

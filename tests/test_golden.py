@@ -1,0 +1,129 @@
+"""Golden fixture: observable outputs pinned by SHA-256 digest.
+
+Each case renders one observable result as text: the exit code, stdout and
+any --output file of a CLI run, or the repr of classification and grading
+results. ``golden_digests.json`` holds the digest of every case, so a
+refactor that claims to keep behaviour must keep every digest.
+
+After an intended change of output, re-record with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the changed entries of the digest file.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from relaydde import ROWS, Params, classify, reproduce_tables
+from relaydde.cli import main
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+# StableT, UnstableT (with Diverges2T), Stable2T, and a boundary point
+# (a1 = a2) with ShapeInvalid
+CLASSIFY_POINTS = ((1, 0.25, 2.5, 1.5), (1, 6, 3, 1), (4, 1, 0.5, 2.5), (2, 2, 1, 1))
+
+# a 6^4 grid whose verdicts include every kind and boundary cells
+LEVELS = (0.25, 0.5, 1.0, 2.0, 4.0, 7.0)
+STRETCHES = (0.6, 1.0, 1.5, 2.5, 3.0, 4.5)
+
+
+def _params_flags(a1, a2, p1, p2):
+    return ["--a1", str(a1), "--a2", str(a2), "--p1", str(p1), "--p2", str(p2)]
+
+
+def _cli_cases():
+    cases = {}
+    for point in CLASSIFY_POINTS:
+        for fmt in ("json", "csv"):
+            name = "classify-" + "-".join(map(str, point)) + "-" + fmt
+            cases[name] = ["classify", *_params_flags(*point), "--format", fmt]
+    cases["tables"] = ["tables"]
+    for fmt in ("json", "csv"):
+        cases[f"tables-output-{fmt}"] = ["tables", "--output", "OUT", "--format", fmt]
+        cases[f"scan-{fmt}"] = ["scan", *_params_flags(1.5, 1.5, 2, 2),
+                                "--resolution", "3", "--format", fmt]
+        cases[f"coexist-{fmt}"] = ["coexist", *_params_flags(1, 6, 3, 1), "--format", fmt]
+        cases[f"simulate-exact-{fmt}"] = ["simulate", *_params_flags(1, 6, 3, 1),
+                                          "--h", "-0.5", "--t-end", "16",
+                                          "--delta", "0", "--format", fmt]
+    cases["simulate-smooth-csv"] = ["simulate", *_params_flags(1, 6, 3, 1),
+                                    "--h", "-0.5", "--t-end", "10",
+                                    "--delta", "0.3", "--format", "csv"]
+    cases["smooth-csv"] = ["smooth", *_params_flags(1, 0.25, 2.5, 1.5), "--h", "-0.25",
+                           "--deltas", "0.2,0.1", "--t-end", "5", "--format", "csv"]
+    return cases
+
+
+CLI_CASES = _cli_cases()
+
+
+def _render_cli(argv):
+    """Exit code, stdout and the --output file (written to a temporary dir)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_file = Path(tmp) / "out"
+        argv = [str(out_file) if a == "OUT" else a for a in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        text = f"exit {code}\n{stdout.getvalue()}"
+        if out_file.exists():
+            text += "--- output\n" + out_file.read_text()
+    return text
+
+
+def _render_grid():
+    grid = itertools.product(LEVELS, LEVELS, STRETCHES, STRETCHES)
+    return "\n".join(repr(classify(Params(*point))) for point in grid)
+
+
+def _render_rows():
+    return "\n".join(repr(classify(row.params)) for row in ROWS)
+
+
+def _render_grades():
+    return "\n".join(repr((r.row.table_id, r.row.index, r.computed_h,
+                           r.computed_period, r.status))
+                     for r in reproduce_tables())
+
+
+RENDERERS = {
+    **{name: (lambda argv=argv: _render_cli(argv)) for name, argv in CLI_CASES.items()},
+    "classify-grid-repr": _render_grid,
+    "classify-rows-repr": _render_rows,
+    "reproduce-tables": _render_grades,
+}
+
+
+def _digest(name):
+    return hashlib.sha256(RENDERERS[name]().encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(DIGESTS.read_text())
+
+
+def test_every_case_is_recorded(recorded):
+    assert sorted(recorded) == sorted(RENDERERS)
+
+
+@pytest.mark.parametrize("name", sorted(RENDERERS))
+def test_golden_digest(name, recorded, monkeypatch):
+    monkeypatch.delenv("RELAYDDE_OUTDIR", raising=False)
+    assert _digest(name) == recorded.get(name)
+
+
+if __name__ == "__main__":
+    digests = {name: _digest(name) for name in sorted(RENDERERS)}
+    DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
+    print(f"recorded {len(digests)} digests in {DIGESTS}", file=sys.stderr)

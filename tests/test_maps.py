@@ -1,13 +1,14 @@
 """Tests for the affine return maps, classification, and basins."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from relaydde.exact import ConstantHistory, propagate
 from relaydde.maps import (
-    AffineMap1D,
     HZero,
     MIsOne,
     NoCycle,
@@ -17,9 +18,7 @@ from relaydde.maps import (
     dual_params,
     type1_coefficients,
     type1_fixed_point,
-    type1_map,
     type2_coefficients,
-    type2_map,
     type2_two_cycle,
     apply_F,
 )
@@ -35,13 +34,12 @@ def _random_params(rng):
 
 
 def test_type1_map_known_coefficients():
-    mp = type1_map(Params(1.0, 0.25, 2.5, 1.5))
-    assert mp.slope == -0.5
-    assert mp.intercept == -0.375
-    assert mp(-0.25) == -0.25
-    mp = type1_map(Params(1.0, 6.0, 3.0, 1.0))
-    assert mp.slope == 11.0
-    assert mp.intercept == 5.0
+    # the two-zero return map is h -> m*h - b
+    m, b = type1_coefficients(Params(1.0, 0.25, 2.5, 1.5))
+    assert (m, b) == (-0.5, 0.375)
+    assert m * -0.25 - b == -0.25
+    m, b = type1_coefficients(Params(1.0, 6.0, 3.0, 1.0))
+    assert (m, b) == (11.0, -5.0)
     m, b = type1_coefficients(Params(1.3, 1.3, 2.0, 1.0))
     assert m == 1.0
 
@@ -69,9 +67,10 @@ def test_type1_fixed_point_alternative_form():
 
 
 def test_type2_map_known_coefficients():
-    f1, f2 = type2_map(Params(4.0, 1.0, 0.5, 2.5))
-    assert (f1.slope, f1.intercept) == (0.5, 0.5)
-    assert (f2.slope, f2.intercept) == (0.5, -0.5)
+    # the one-zero maps are F1(h) = k*h + d for h < 0 and F2(h) = k*h - d for h > 0
+    k, d = type2_coefficients(Params(4.0, 1.0, 0.5, 2.5))
+    assert (k, d) == (0.5, 0.5)
+    assert (apply_F(-1.0, k, d), apply_F(1.0, k, d)) == (0.0, 0.0)
     k, d = type2_coefficients(Params(6.0, 1.0, 1.0, 3.0))
     assert abs(k - 2.0 / 3.0) < 1e-15
     assert d == 3.0
@@ -154,7 +153,8 @@ def test_fixed_point_is_exact_fixed_point():
         if p.a1 == p.a2:
             continue
         h = type1_fixed_point(p)
-        assert abs(type1_map(p)(h) - h) < 1e-12 * max(1.0, abs(h))
+        m, b = type1_coefficients(p)
+        assert abs(m * h - b - h) < 1e-12 * max(1.0, abs(h))
 
 
 def test_contraction_ratio_k_squared():
@@ -206,7 +206,7 @@ def test_basin_descriptor():
     bd = basin(Params(1.5, 1.0, 1.0, 1.0))  # k = -1/3, d = 0.5
     assert bd.kind == "interval"
     assert abs(bd.radius - 1.5) < 1e-12
-    assert bd.to_jsonable() == {"kind": "interval", "radius": bd.radius}
+    assert asdict(bd) == {"kind": "interval", "radius": bd.radius}
     with pytest.raises(NotApplicable):
         basin(Params(1.0, 5.0, 4.0, 1.0))  # k = -9
     with pytest.raises(NotApplicable):
@@ -228,7 +228,7 @@ def test_classify_stable_T():
     assert top.h_star == -0.25
     assert top.period == 4.0
     assert top.validated and not top.boundary
-    blob = top.to_jsonable()
+    blob = asdict(top)
     assert blob["kind"] == "StableT" and blob["m"] == -0.5 and blob["b"] == 0.375
 
 
@@ -247,7 +247,7 @@ def test_classify_stable_2T():
     assert top.kind == "Stable2T"
     assert top.h_star == (-0.3125, 0.3125)
     assert top.period == 7.0
-    assert top.to_jsonable()["h_star"] == [-0.3125, 0.3125]
+    assert json.loads(json.dumps(asdict(top)))["h_star"] == [-0.3125, 0.3125]
 
 
 def test_classify_shape_invalid_candidate():
@@ -306,7 +306,8 @@ def test_classified_orbits_close_under_propagation():
 
 
 def test_affine_map_validation():
-    with pytest.raises(ValueError):
-        AffineMap1D(math.inf, 0.0)
-    mp = AffineMap1D(2.0, -1.0)
-    assert mp(3.0) == 5.0
+    # return maps with a non-finite slope or offset are refused, naming each
+    with pytest.raises(ValueError, match=r"\(b = inf, d = inf\)"):
+        classify(Params(1e300, 1e-300, 1e300, 1.0))
+    with pytest.raises(ValueError, match=r"\(b = nan, d = nan\)"):
+        classify(Params(1e300, 1e300, 1e300, 1e300))

@@ -13,9 +13,7 @@ from relaydde.model import (
     nonlinearity_slope_at_zero,
     nonlinearity_value,
     oscillation_condition,
-    params_from_mapping,
     parse_config_text,
-    smoothing_from_mapping,
     validate_geometry,
 )
 
@@ -180,20 +178,3 @@ def test_parse_config_text():
         parse_config_text("a1 1.0")
     with pytest.raises(ValueError):
         parse_config_text("= 3")
-
-
-def test_mappings_to_objects():
-    m = parse_config_text("a1=2\na2=7\np1=3\np2=2\ndelta=0.1\nprofile=smoothexp")
-    p = params_from_mapping(m)
-    assert (p.a1, p.a2, p.p1, p.p2) == (2.0, 7.0, 3.0, 2.0)
-    s = smoothing_from_mapping(m)
-    assert s.delta == 0.1 and s.profile is Profile.SMOOTHEXP
-    assert smoothing_from_mapping({}).delta == 0.0
-    with pytest.raises(ValueError, match="missing parameter 'p2'"):
-        params_from_mapping({"a1": "1", "a2": "2", "p1": "3"})
-    with pytest.raises(ValueError, match="not a number"):
-        params_from_mapping({"a1": "x", "a2": "2", "p1": "3", "p2": "4"})
-    with pytest.raises(ValueError, match="unknown profile"):
-        smoothing_from_mapping({"profile": "step"})
-    with pytest.raises(ValueError, match="delta"):
-        smoothing_from_mapping({"delta": "-0.5"})

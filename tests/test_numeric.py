@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from relaydde.exact import ConstantHistory, propagate, zeros
-from relaydde.maps import NotApplicable
 from relaydde.model import Params, Profile, SmoothingSpec
 from relaydde.numeric import (
     DenseSolution,
-    ShapeLost,
     StepTooLarge,
     compare_exact_smoothed,
     corner_windows,
@@ -18,7 +16,6 @@ from relaydde.numeric import (
     integrate,
     one_period_multiplier,
     parabola_coefficients,
-    perturbation_growth,
 )
 
 
@@ -183,14 +180,7 @@ def test_smoothed_derivative_has_no_jumps():
 
 def test_multiplier_measurements():
     assert abs(one_period_multiplier(Params(1.0, 6.0, 3.0, 1.0), -0.5) - 11.0) < 1e-6
-    assert abs(perturbation_growth(Params(1.0, 6.0, 3.0, 1.0), -0.5, 1e-6) - 11.0) < 1e-6
-    assert abs(perturbation_growth(Params(1.0, 5.0, 4.0, 1.0), -1.625, 1e-6) - 9.0) < 1e-6
-    with pytest.raises(NotApplicable):
-        perturbation_growth(Params(1.0, 0.25, 2.5, 1.5), -0.25, 1e-6)
-    with pytest.raises(ShapeLost):
-        perturbation_growth(Params(1.0, 6.0, 3.0, 1.0), -0.3, 1e-6)
-    with pytest.raises(ValueError):
-        perturbation_growth(Params(1.0, 6.0, 3.0, 1.0), -0.5, 1e-2)
+    assert abs(one_period_multiplier(Params(1.0, 5.0, 4.0, 1.0), -1.625) - 9.0) < 1e-6
     with pytest.raises(ValueError):
         one_period_multiplier(Params(1.0, 6.0, 3.0, 1.0), -0.5, 0.0)
 
