@@ -24,7 +24,7 @@ from .exact import ConstantHistory, PiecewisePath, path_sup_distance, propagate
 from .maps import SHAPE_INVALID, STABLE_2T, STABLE_T, UNSTABLE_T, classify, dual_params
 from .model import Params, RelayDDEError, SmoothingSpec, validate_geometry
 from .numeric import compare_exact_smoothed
-from .tables import ROWS, TableRow, rows_for
+from .tables import ROWS, TableRow
 
 SHIFT_TOL = 1e-9
 ATTRACTION_TOL = 1e-6

@@ -16,7 +16,8 @@ Any flag can instead come from a flat 'key = value' file passed as
 --config (flag names with underscores, e.g. t_end); explicit flags win.
 A relative --output path is placed under $RELAYDDE_OUTDIR when that is
 set; the directory is created if needed.
-CSV numbers use the shortest text that parses back to the same double.
+All CSV and JSON text is written here, by _csv_text and _json_text; CSV
+numbers use the shortest text that parses back to the same double.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -42,90 +44,87 @@ from .maps import NotApplicable, basin, classify
 from .model import Params, Profile, RelayDDEError, SmoothingSpec, parse_config_text
 from .numeric import integrate
 
-_FLOAT_KEYS = ("a1", "a2", "p1", "p2", "h", "t_end", "delta", "step", "span")
-_INT_KEYS = ("resolution", "horizon")
-_STR_KEYS = ("profile", "format", "output", "deltas")
+_Flags = dict[str, argparse.Action]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Flags]]:
+    """The parser, and each command's flag actions keyed by dest.
+
+    The actions are the one flag schema: --config values are converted with
+    the type and checked against the choices declared here.
+    """
     parser = argparse.ArgumentParser(
         prog="relaydde",
         description="Construct, classify, and verify relay oscillator orbits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    schema: dict[str, _Flags] = {}
 
-    def add_common(sp, with_params=True):
+    def command(name, help_text, with_params=True):
+        sp = sub.add_parser(name, help=help_text)
+        flags = schema[name] = {}
+
+        def add(*names, **kwargs):
+            action = sp.add_argument(*names, **kwargs)
+            flags[action.dest] = action
+
         if with_params:
-            sp.add_argument("--a1", type=float, help="first coefficient level")
-            sp.add_argument("--a2", type=float, help="second coefficient level")
-            sp.add_argument("--p1", type=float, help="first stretch length")
-            sp.add_argument("--p2", type=float, help="second stretch length")
-        sp.add_argument("--config", help="flat key = value file supplying flag defaults")
-        sp.add_argument("--format", choices=("csv", "json"), help="output payload format")
-        sp.add_argument("--output", help="write the payload here instead of stdout")
+            add("--a1", type=float, help="first coefficient level")
+            add("--a2", type=float, help="second coefficient level")
+            add("--p1", type=float, help="first stretch length")
+            add("--p2", type=float, help="second stretch length")
+        add("--config", help="flat key = value file supplying flag defaults")
+        add("--format", choices=("csv", "json"), help="output payload format")
+        add("--output", help="write the payload here instead of stdout")
+        return add
 
-    sp = sub.add_parser("simulate", help="integrate one solution and emit it")
-    add_common(sp)
-    sp.add_argument("--h", type=float, help="constant history value")
-    sp.add_argument("--t-end", dest="t_end", type=float, help="integration horizon")
-    sp.add_argument("--delta", type=float,
-                    help="smoothing half-width; 0 runs the exact engine (default 0)")
-    sp.add_argument("--profile", choices=tuple(p.value for p in Profile),
-                    help="smoothed nonlinearity shape (default affine)")
-    sp.add_argument("--step", type=float, help="integrator step for delta > 0")
+    add = command("simulate", "integrate one solution and emit it")
+    add("--h", type=float, help="constant history value")
+    add("--t-end", dest="t_end", type=float, help="integration horizon")
+    add("--delta", type=float,
+        help="smoothing half-width; 0 runs the exact engine (default 0)")
+    add("--profile", choices=tuple(p.value for p in Profile),
+        help="smoothed nonlinearity shape (default affine)")
+    add("--step", type=float, help="integrator step for delta > 0")
 
-    sp = sub.add_parser("classify", help="return-map verdicts for one parameter point")
-    add_common(sp)
+    command("classify", "return-map verdicts for one parameter point")
 
-    sp = sub.add_parser("tables", help="grade the embedded benchmark rows")
-    add_common(sp, with_params=False)
+    command("tables", "grade the embedded benchmark rows", with_params=False)
 
-    sp = sub.add_parser("scan", help="classify a grid around a center point")
-    add_common(sp)
-    sp.add_argument("--span", type=float,
-                    help="relative half-width of the box (default 0.1)")
-    sp.add_argument("--resolution", type=int, help="grid points per axis (default 3)")
+    add = command("scan", "classify a grid around a center point")
+    add("--span", type=float, help="relative half-width of the box (default 0.1)")
+    add("--resolution", type=int, help="grid points per axis (default 3)")
 
-    sp = sub.add_parser("smooth", help="smoothing convergence study")
-    add_common(sp)
-    sp.add_argument("--h", type=float, help="constant history value")
-    sp.add_argument("--t-end", dest="t_end", type=float, help="study horizon (default 30)")
-    sp.add_argument("--deltas", help="comma-separated decreasing half-widths")
+    add = command("smooth", "smoothing convergence study")
+    add("--h", type=float, help="constant history value")
+    add("--t-end", dest="t_end", type=float, help="study horizon (default 30)")
+    add("--deltas", help="comma-separated decreasing half-widths")
 
-    sp = sub.add_parser("coexist", help="verify the coexistence pairing via the dual")
-    add_common(sp)
-    sp.add_argument("--horizon", type=int,
-                    help="double periods to wait for attraction (default 30)")
+    add = command("coexist", "verify the coexistence pairing via the dual")
+    add("--horizon", type=int, help="double periods to wait for attraction (default 30)")
 
-    return parser
+    return parser, schema
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    if getattr(args, "config", None) is None:
+def _merge_config(args: argparse.Namespace, flags: _Flags) -> None:
+    if args.config is None:
         return
     path = Path(args.config)
     if not path.is_file():
         raise ValueError(f"config file not found: {args.config}")
     cfg = parse_config_text(path.read_text())
     for key, raw in cfg.items():
-        if not hasattr(args, key) or key == "config":
-            continue
-        if getattr(args, key) is not None:
-            continue  # explicit flags win
+        action = flags.get(key)
+        if action is None or key == "config" or getattr(args, key) is not None:
+            continue  # not a flag of this command, or an explicit flag wins
         try:
-            if key in _FLOAT_KEYS:
-                setattr(args, key, float(raw))
-            elif key in _INT_KEYS:
-                setattr(args, key, int(raw))
-            elif key in _STR_KEYS:
-                setattr(args, key, raw)
+            value = raw if action.type is None else action.type(raw)
         except ValueError:
             raise ValueError(f"config value for {key!r} is not valid: {raw!r}") from None
-    if args.format is not None and args.format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {args.format!r}")
-    profile = getattr(args, "profile", None)
-    if profile is not None and profile not in tuple(p.value for p in Profile):
-        raise ValueError(f"unknown profile {profile!r}")
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"unknown {key} {value!r}, expected one of "
+                             f"{', '.join(action.choices)}")
+        setattr(args, key, value)
 
 
 def _require(args: argparse.Namespace, name: str):
@@ -159,14 +158,15 @@ def _emit(payload: str, args: argparse.Namespace) -> None:
         _resolve_output(args.output).write_text(payload)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
+    """Header and rows as CSV: None is written empty and a float by repr.
+
+    Cells must be Python floats, not numpy scalars, whose repr names the type.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if cell is None else
-                         (repr(cell) if isinstance(cell, float) else cell)
-                         for cell in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -182,21 +182,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     fmt = args.format or "csv"
     if delta == 0.0:
         path = propagate(params, ConstantHistory(h), t_end)
-        payload = path.to_csv() if fmt == "csv" else _json_text(path.to_jsonable())
+        if fmt == "csv":
+            payload = _csv_text(["t", "x"], path.breakpoints)
+        else:
+            payload = _json_text(path.to_jsonable())
     else:
         profile = Profile(args.profile or "affine")
         spec = SmoothingSpec(delta=delta, profile=profile)
         sol = integrate(params, spec, h, t_end, step=args.step)
+        times, values, derivs = sol.times.tolist(), sol.values.tolist(), sol.derivs.tolist()
         if fmt == "csv":
-            payload = sol.to_csv()
+            payload = _csv_text(["t", "x", "dx"], zip(times, values, derivs))
         else:
             payload = _json_text({
                 "start_time": sol.start_time,
                 "step": sol.step,
-                "times": [float(t) for t in sol.times],
-                "values": [float(v) for v in sol.values],
-                "derivs": [float(d) for d in sol.derivs],
-                "events": [float(e) for e in sol.events],
+                "times": times,
+                "values": values,
+                "derivs": derivs,
+                "events": sol.events,
             })
     _emit(payload, args)
     return 0
@@ -236,25 +240,17 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     results = reproduce_tables()
     sys.stdout.write(format_table_report(results))
     if args.output is not None:
-        fmt = args.format or "json"
-        if fmt == "json":
-            payload = _json_text([
-                {"table": r.row.table_id, "index": r.row.index,
-                 **asdict(r.row.params),
-                 "h_expected": r.row.h_star_expected,
-                 "h_computed": r.computed_h,
-                 "period": r.computed_period,
-                 "status": r.status}
-                for r in results
-            ])
+        records = [{"table": r.row.table_id, "index": r.row.index,
+                    **asdict(r.row.params),
+                    "h_expected": r.row.h_star_expected,
+                    "h_computed": r.computed_h,
+                    "period": r.computed_period,
+                    "status": r.status}
+                   for r in results]
+        if (args.format or "json") == "json":
+            payload = _json_text(records)
         else:
-            payload = _csv_text(
-                ["table", "index", "a1", "a2", "p1", "p2", "h_expected",
-                 "h_computed", "period", "status"],
-                [[r.row.table_id, r.row.index, r.row.params.a1, r.row.params.a2,
-                  r.row.params.p1, r.row.params.p2, r.row.h_star_expected,
-                  r.computed_h, r.computed_period, r.status]
-                 for r in results])
+            payload = _csv_text(list(records[0]), [rec.values() for rec in records])
         _emit(payload, args)
     return 0 if all(r.status == "PASS" for r in results) else 3
 
@@ -345,13 +341,13 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, schema = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        _merge_config(args)
+        _merge_config(args, schema[args.command])
         return _DISPATCH[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

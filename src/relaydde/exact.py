@@ -19,7 +19,6 @@ feedback can flip.  The engine still guards that invariant at run time.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -106,15 +105,6 @@ class PiecewisePath:
             ],
             "zeros": zeros(self),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2)
-
-    def to_csv(self) -> str:
-        """Breakpoints as CSV with columns t, x (canonical float text)."""
-        lines = ["t,x"]
-        lines.extend(f"{t!r},{v!r}" for t, v in zip(self.times, self.values))
-        return "\n".join(lines) + "\n"
 
 
 def _next_switch_after(params: Params, t: float) -> float:

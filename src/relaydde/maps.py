@@ -208,7 +208,9 @@ def classify(params: Params) -> tuple[Classification, ...]:
     bad = [f"{name} = {v!r}" for name, v in zip("mbkd", (m, b, k, d)) if not math.isfinite(v)]
     if bad:
         raise ValueError(f"return-map coefficients are not finite ({', '.join(bad)}) at {params}")
-    boundary = m in (1.0, -1.0) or k in (1.0, -1.0) or b == 0.0 or d == 0.0
+    # k == -m exactly, and m > -1 for positive levels (m == -1 only when
+    # a2/a1 rounds away), so m == 1 covers both slope equalities
+    boundary = m == 1.0 or b == 0.0 or d == 0.0
     T = params.period
 
     def record(kind, h_star, period, validated, reason=""):

@@ -60,7 +60,8 @@ class DenseSolution:
     leave the stored history. Times are non-decreasing; a repeated time
     carries the two one-sided derivatives at a kink of the solution
     (always present at the history junction, and at every rhs jump when
-    delta == 0).
+    delta == 0). The arrays are the whole result; the CLI writes them as
+    CSV rows t,x,dx or as JSON lists.
     """
 
     start_time: float
@@ -109,19 +110,6 @@ class DenseSolution:
 
     def value_at(self, t: float) -> float:
         return float(self.values_at(t))
-
-    def to_csv(self, thin: int = 1) -> str:
-        """CSV rows t,x,dx keeping every thin-th sample plus the last."""
-        if thin < 1:
-            raise ValueError("thin must be a positive integer")
-        idx = list(range(0, len(self.times), thin))
-        if idx[-1] != len(self.times) - 1:
-            idx.append(len(self.times) - 1)
-        lines = ["t,x,dx"]
-        for i in idx:
-            lines.append(f"{float(self.times[i])!r},{float(self.values[i])!r},"
-                         f"{float(self.derivs[i])!r}")
-        return "\n".join(lines) + "\n"
 
 
 def default_step(smoothing: SmoothingSpec) -> float:

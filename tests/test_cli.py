@@ -165,11 +165,18 @@ def test_config_supplies_flags_and_explicit_flags_win(tmp_path, monkeypatch, cap
     assert main(["simulate", "--config", "run.cfg", "--t-end", "4"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1].startswith("4.0,")
-    # malformed config values are input errors
-    for bad, message in (("a1 = x\n", "config value for 'a1' is not valid"),
-                         ("profile = step\n", "unknown profile 'step'")):
+    # keys that are no flag of the command are ignored
+    cfg.write_text(cfg.read_text() + "help = 1\ndeltas = 0.2,0.1\n")
+    assert main(["simulate", "--config", "run.cfg"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("12.0,")
+    # malformed config values are input errors, typed and checked as the flags are
+    for command, bad, message in (
+            ("simulate", "a1 = x\n", "config value for 'a1' is not valid"),
+            ("simulate", "profile = step\n", "unknown profile 'step'"),
+            ("simulate", "format = xml\n", "unknown format 'xml'"),
+            ("scan", "resolution = 2.5\n", "config value for 'resolution' is not valid")):
         cfg.write_text(bad)
-        assert main(["simulate", "--config", "run.cfg"]) == 2
+        assert main([command, "--config", "run.cfg"]) == 2
         assert message in capsys.readouterr().err
 
 

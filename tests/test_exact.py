@@ -223,13 +223,8 @@ def test_value_at_bounds():
 def test_path_serialization_round_trip():
     params = Params(1.0, 0.25, 2.5, 1.5)
     path = propagate(params, ConstantHistory(-0.25), 4.0)
-    text = path.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,x"
-    parsed = [tuple(float(tok) for tok in line.split(",")) for line in lines[1:]]
-    assert tuple(t for t, _ in parsed) == path.times
-    assert tuple(v for _, v in parsed) == path.values
-    blob = json.loads(path.to_json())
+    blob = json.loads(json.dumps(path.to_jsonable()))
+    assert [tuple(bp) for bp in blob["breakpoints"]] == list(path.breakpoints)
     assert blob["start_time"] == 0.0
     assert blob["breakpoints"][0] == [0.0, -0.25]
     assert blob["zeros"] == zeros(path)

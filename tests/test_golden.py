@@ -2,8 +2,9 @@
 
 Each case renders one observable result as text: the exit code, stdout and
 any --output file of a CLI run, or the repr of classification and grading
-results. ``golden_digests.json`` holds the digest of every case, so a
-refactor that claims to keep behaviour must keep every digest.
+results; a CLI case may read a --config file written to its temporary dir.
+``golden_digests.json`` holds the digest of every case, so a refactor that
+claims to keep behaviour must keep every digest.
 
 After an intended change of output, re-record with
 
@@ -56,22 +57,35 @@ def _cli_cases():
         cases[f"simulate-exact-{fmt}"] = ["simulate", *_params_flags(1, 6, 3, 1),
                                           "--h", "-0.5", "--t-end", "16",
                                           "--delta", "0", "--format", fmt]
-    cases["simulate-smooth-csv"] = ["simulate", *_params_flags(1, 6, 3, 1),
-                                    "--h", "-0.5", "--t-end", "10",
-                                    "--delta", "0.3", "--format", "csv"]
-    cases["smooth-csv"] = ["smooth", *_params_flags(1, 0.25, 2.5, 1.5), "--h", "-0.25",
-                           "--deltas", "0.2,0.1", "--t-end", "5", "--format", "csv"]
+        cases[f"simulate-smooth-{fmt}"] = ["simulate", *_params_flags(1, 6, 3, 1),
+                                           "--h", "-0.5", "--t-end", "10",
+                                           "--delta", "0.3", "--format", fmt]
+        cases[f"smooth-{fmt}"] = ["smooth", *_params_flags(1, 0.25, 2.5, 1.5),
+                                  "--h", "-0.25", "--deltas", "0.2,0.1", "--t-end", "5",
+                                  "--format", fmt]
+    cases["simulate-config"] = ["simulate", *_params_flags(1, 6, 3, 1), "--h", "-0.5",
+                                "--t-end", "10", "--config", "CFG"]
+    cases["scan-config"] = ["scan", *_params_flags(1.5, 1.5, 2, 2), "--config", "CFG"]
     return cases
 
 
 CLI_CASES = _cli_cases()
 
+# the --config file text of the cases whose argv holds CFG
+CONFIGS = {
+    "simulate-config": "delta = 0.3\nprofile = smoothexp\nstep = 0.0125\n",
+    "scan-config": "span = 0.2\nresolution = 3\nformat = csv\n",
+}
 
-def _render_cli(argv):
+
+def _render_cli(argv, config=None):
     """Exit code, stdout and the --output file (written to a temporary dir)."""
     with tempfile.TemporaryDirectory() as tmp:
         out_file = Path(tmp) / "out"
-        argv = [str(out_file) if a == "OUT" else a for a in argv]
+        cfg_file = Path(tmp) / "run.cfg"
+        if config is not None:
+            cfg_file.write_text(config)
+        argv = [{"OUT": str(out_file), "CFG": str(cfg_file)}.get(a, a) for a in argv]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main(argv)
@@ -97,7 +111,8 @@ def _render_grades():
 
 
 RENDERERS = {
-    **{name: (lambda argv=argv: _render_cli(argv)) for name, argv in CLI_CASES.items()},
+    **{name: (lambda argv=argv, cfg=CONFIGS.get(name): _render_cli(argv, cfg))
+       for name, argv in CLI_CASES.items()},
     "classify-grid-repr": _render_grid,
     "classify-rows-repr": _render_rows,
     "reproduce-tables": _render_grades,

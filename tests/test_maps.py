@@ -275,6 +275,11 @@ def test_classify_no_branch_and_boundary():
     verdicts = classify(Params(2.0, 2.0, 2.0, 1.0))  # m = 1, k = -1
     assert [v.kind for v in verdicts] == ["ShapeInvalid"]
     assert verdicts[0].boundary
+    assert all(v.boundary for v in classify(Params(2.0, 2.0, 1.0, 1.0)))  # m = 1
+    assert all(v.boundary for v in classify(Params(1e17, 1.0, 2.0, 2.0)))  # b == 0.0
+    # a2/a1 rounds away, so m == -1.0 and k == 1.0, yet no equality holds
+    assert type1_coefficients(Params(1e300, 1.0, 1.0, 1.0))[0] == -1.0
+    assert not any(v.boundary for v in classify(Params(1e300, 1.0, 1.0, 1.0)))
 
 
 def test_classify_never_both_stable_and_unstable_T():

@@ -187,14 +187,6 @@ def test_multiplier_measurements():
 
 def test_dense_solution_csv_and_lookup():
     sol = integrate(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.0), -0.25, 3.0)
-    text = sol.to_csv(thin=50)
-    lines = text.strip().splitlines()
-    assert lines[0] == "t,x,dx"
-    t_last, x_last, _ = lines[-1].split(",")
-    assert float(t_last) == sol.times[-1]
-    assert float(x_last) == sol.values[-1]
-    with pytest.raises(ValueError):
-        sol.to_csv(thin=0)
     with pytest.raises(ValueError):
         sol.values_at(3.5)
     with pytest.raises(ValueError):
