@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .exact import ConstantHistory, PiecewisePath, path_sup_distance, propagate
 from .maps import SHAPE_INVALID, STABLE_2T, STABLE_T, UNSTABLE_T, classify, dual_params
 from .model import Params, RelayDDEError, SmoothingSpec, validate_geometry
-from .numeric import compare_exact_smoothed
+from .numeric import compare_exact_smoothed, integrate
 from .tables import ROWS, TableRow
 
 SHIFT_TOL = 1e-9
@@ -354,10 +354,13 @@ def smoothing_convergence(params: Params, h: float, deltas,
                           t_end: float = 30.0) -> ConvergenceTable:
     """Check uniform convergence of the smoothed system as delta shrinks.
 
-    deltas must be a strictly decreasing list of positive half-widths. The
-    overall deviation must be non-increasing along the list and the final
-    outside-corner residual must stay below C * delta_min for the fitted
-    linear constant C; otherwise ConvergenceFailed is raised.
+    deltas must be a strictly decreasing list of positive half-widths and
+    t_end must exceed the delay 1. Each half-width is integrated once, from
+    h to t_end at the default step, and compared with the exact solution
+    by compare_exact_smoothed. The overall deviation must be non-increasing
+    along the list and the final outside-corner residual must stay below
+    C * delta_min for the fitted linear constant C; otherwise
+    ConvergenceFailed is raised.
     """
     ds = tuple(float(d) for d in deltas)
     if not ds:
@@ -368,9 +371,12 @@ def smoothing_convergence(params: Params, h: float, deltas,
         raise ValueError("deltas must be strictly decreasing")
     for d in ds:
         validate_geometry(params, SmoothingSpec(d))
+    if not math.isfinite(t_end) or t_end <= 1.0:
+        raise ValueError("t_end must exceed the delay 1")
     rows = []
     for d in ds:
-        rep = compare_exact_smoothed(params, d, h, t_end)
+        sol = integrate(params, SmoothingSpec(d), h, t_end)
+        rep = compare_exact_smoothed(params, d, h, sol)
         rows.append(ConvergenceRow(d, rep["max_dev_overall"],
                                    rep["max_dev_outside_corners"]))
     for prev, cur in zip(rows, rows[1:]):

@@ -24,7 +24,6 @@ one-sided derivatives of the kinked solution.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -42,6 +41,8 @@ from .model import (
 
 BREAK_TOL = 1e-9
 SIDE_NUDGE = 1e-10
+# largest t_end / step that integrate accepts, about 260 MB of samples
+MAX_SAMPLES = 2_000_000
 
 
 class StepTooLarge(RelayDDEError):
@@ -153,13 +154,25 @@ def _crossing_time(t0: float, t1: float, x0: float, d0: float, x1: float,
     return t0 + 0.5 * (lo + hi) * dt
 
 
+def _switch_times(params: Params, hi: float):
+    """The coefficient switch times k*T and k*T + p1 (k = 0, 1, ...) up to hi."""
+    T = params.period
+    k = 0
+    while k * T <= hi:
+        yield k * T
+        if k * T + params.p1 <= hi:
+            yield k * T + params.p1
+        k += 1
+
+
 def integrate(params: Params, smoothing: SmoothingSpec, h: float,
               t_end: float, step: float | None = None) -> DenseSolution:
     """Integrate x'(t) = a(t) f(x(t-1)) from the constant history h on [-1, 0].
 
     h may be any finite real, including 0 (the invariant zero solution).
     The step must not exceed delta/16 when delta > 0, nor 1e-3 when
-    delta == 0; omitted, it defaults to ``default_step``.
+    delta == 0; omitted, it defaults to ``default_step``. A run of more
+    than MAX_SAMPLES steps (t_end / step) is refused before it starts.
     """
     if not math.isfinite(h):
         raise ValueError("history value h must be finite")
@@ -175,34 +188,25 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
         raise StepTooLarge(f"step {step} exceeds delta/16 = {delta / 16.0}")
     if delta == 0.0 and step > 1e-3 * (1.0 + 1e-12):
         raise StepTooLarge(f"step {step} exceeds the sharp-model cap 1e-3")
+    if t_end / step > MAX_SAMPLES:
+        raise ValueError(f"t_end {t_end} / step {step} asks for about "
+                         f"{t_end / step:.3g} samples, above the cap {MAX_SAMPLES:,}")
 
-    T = params.period
     sharp = delta == 0.0
 
-    # static knots: ramp edges (switch times when sharp) and the integer lattice
-    statics: list[float] = []
-    k = 0
-    while k * T < t_end + T:
-        for base in (k * T, k * T + params.p1):
-            offsets = (0.0,) if sharp else (-delta, delta)
-            for off in offsets:
-                s = base + off
-                if BREAK_TOL < s < t_end - BREAK_TOL:
-                    statics.append(s)
-        k += 1
-    j = 1
-    while j < t_end - BREAK_TOL:
-        statics.append(float(j))
-        j += 1
-    statics.sort()
-    breaks: list[float] = []
-    for s in statics:
-        if not breaks or s - breaks[-1] > BREAK_TOL:
-            breaks.append(s)
-    breaks.append(t_end)
-
-    all_knots = sorted(breaks)  # for dedupe of dynamic echoes
-    pending: list[float] = []   # dynamic echo knots (heap)
+    # the sorted knots: ramp edges (switch times when sharp), the integer
+    # lattice where the history junction echoes, and t_end, at least
+    # BREAK_TOL apart; the walk visits them by index, and dynamic echo knots
+    # are inserted ahead of it
+    offsets = (0.0,) if sharp else (-delta, delta)
+    edges = (s + off for s in _switch_times(params, t_end + delta) for off in offsets)
+    statics = [e for e in edges if BREAK_TOL < e < t_end - BREAK_TOL]
+    statics += [float(j) for j in range(1, math.ceil(t_end - BREAK_TOL))]
+    knots: list[float] = []
+    for s in sorted(statics):
+        if not knots or s - knots[-1] > BREAK_TOL:
+            knots.append(s)
+    knots.append(t_end)
 
     levels = (0.0,) if sharp else (-delta, 0.0, delta)
 
@@ -230,29 +234,25 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
                 * nonlinearity_value(smoothing, delayed(s - 1.0)))
 
     def push_echo(tau: float) -> None:
+        # tau + 1 lies beyond the chunk being walked, which is at most one
+        # delay long, so the knot lands ahead of the walk
         knot = tau + 1.0
         if knot >= t_end - BREAK_TOL:
             return
-        i = bisect.bisect_left(all_knots, knot)
+        i = bisect.bisect_left(knots, knot)
         for nb in (i - 1, i):
-            if 0 <= nb < len(all_knots) and abs(all_knots[nb] - knot) <= BREAK_TOL:
+            if 0 <= nb < len(knots) and abs(knots[nb] - knot) <= BREAK_TOL:
                 return
-        all_knots.insert(i, knot)
-        heapq.heappush(pending, knot)
+        knots.insert(i, knot)
 
     derivs[-1] = rhs(SIDE_NUDGE if sharp else 0.0)
     t = 0.0
     x = h
     g_left = derivs[-1]
-    bi = 0
+    ki = 0
     while t < t_end - BREAK_TOL:
-        nb = breaks[bi]
-        while pending and pending[0] <= t + BREAK_TOL:
-            heapq.heappop(pending)
-        if pending and pending[0] < nb - BREAK_TOL:
-            nb = pending[0]
-        else:
-            bi += 1
+        nb = knots[ki]
+        ki += 1
         span = nb - t
         nsub = max(1, math.ceil(span / step - 1e-12))
         sub = span / nsub
@@ -291,7 +291,7 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
         times=np.asarray(times, dtype=float),
         values=np.asarray(values, dtype=float),
         derivs=np.asarray(derivs, dtype=float),
-        events=tuple(kn for kn in all_knots if kn < t_end - BREAK_TOL),
+        events=tuple(knots[:-1]),
     )
 
 
@@ -319,14 +319,7 @@ def corner_windows(params: Params, delta: float, zero_times, t_end: float) -> tu
     if delta <= 0.0:
         return ()
     eps = delta / min(params.a1, params.a2)
-    centers: list[float] = []
-    T = params.period
-    k = 0
-    while k * T <= t_end + eps:
-        for base in (k * T, k * T + params.p1):
-            if -eps <= base <= t_end + eps:
-                centers.append(base)
-        k += 1
+    centers = list(_switch_times(params, t_end + eps))
     for z in zero_times:
         c = z + 1.0
         if -eps <= c <= t_end + eps:
@@ -345,38 +338,27 @@ def corner_windows(params: Params, delta: float, zero_times, t_end: float) -> tu
     return tuple((w[0], w[1]) for w in merged)
 
 
-def compare_exact_smoothed(params: Params, delta: float, h: float, t_end: float,
-                           *, h_smoothed: float | None = None,
-                           step: float | None = None) -> dict:
-    """Sup-norm deviation between the exact and the smoothed solution.
+def compare_exact_smoothed(params: Params, delta: float, h: float,
+                           sol: DenseSolution) -> dict:
+    """Sup-norm deviation between the exact solution and a smoothed one.
 
-    The exact solution starts from the constant history h; the smoothed one
-    from h_smoothed (default h). Deviations are reported overall and
-    outside the corner windows, together with a step-halving error estimate
-    for the integrator (so a caller can tell corner mismatch, which is
-    O(delta), from discretization error).
+    sol is a smoothed solution at half-width delta that the caller
+    integrated, from h or from a shifted start; the exact solution starts
+    from the constant history h and runs to sol's end. Deviations are read
+    at sol's samples from t = 0 on and at their midpoints, and reported
+    overall and outside the corner windows, where the O(delta) corner
+    mismatch sits. No integration is run here.
     """
-    if not math.isfinite(t_end) or t_end <= 1.0:
-        raise ValueError("t_end must exceed the delay 1")
-    smoothing = SmoothingSpec(delta=delta)
+    t_end = sol.end_time
     exact_path = propagate(params, ConstantHistory(h), t_end)
-    hs = h if h_smoothed is None else h_smoothed
-    if step is None:
-        step = default_step(smoothing)
-    sol = integrate(params, smoothing, hs, t_end, step)
-    half = integrate(params, smoothing, hs, t_end, step / 2.0)
 
     keep = sol.times >= 0.0
     base_ts = sol.times[keep]
     mids = 0.5 * (base_ts[:-1] + base_ts[1:])
     ts = np.unique(np.concatenate([base_ts, mids]))
 
-    xs = sol.values_at(ts)
-    xh = half.values_at(ts)
     xe = np.interp(ts, exact_path.times, exact_path.values)
-
-    dev = np.abs(xs - xe)
-    est = max(float(np.max(np.abs(xs - xh))) * 16.0 / 15.0, 1e-12)
+    dev = np.abs(sol.values_at(ts) - xe)
 
     windows = corner_windows(params, delta, path_zeros(exact_path), t_end)
     outside = np.ones(len(ts), dtype=bool)
@@ -387,7 +369,6 @@ def compare_exact_smoothed(params: Params, delta: float, h: float, t_end: float,
         "max_dev_outside_corners": float(dev[outside].max()) if outside.any() else 0.0,
         "max_dev_overall": float(dev.max()),
         "corner_windows": windows,
-        "integrator_error_estimate": est,
     }
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from _euler import euler_reference
+from _halving import step_halving_estimate
 from relaydde.analysis import coexistence_check, reproduce_tables
 from relaydde.exact import ConstantHistory, propagate
 from relaydde.maps import (
@@ -268,14 +269,13 @@ def test_criterion_6_smoothing_persistence():
             # start the smoothed run on its own periodic orbit: the level
             # shift at period marks is (a1 - a2) * delta / 4
             hs = h_star + (params.a1 - params.a2) * delta / 4.0
-            rep = compare_exact_smoothed(params, delta, h_star, t_end,
-                                         h_smoothed=hs)
-            est = rep["integrator_error_estimate"]
+            sol = integrate(params, SmoothingSpec(delta), hs, t_end)
+            rep = compare_exact_smoothed(params, delta, h_star, sol)
+            est = step_halving_estimate(params, SmoothingSpec(delta), hs, sol)
             assert rep["max_dev_outside_corners"] <= 10.0 * est
             if prev is not None:
                 assert rep["max_dev_overall"] <= prev
             prev = rep["max_dev_overall"]
-            sol = integrate(params, SmoothingSpec(delta), hs, t_end)
             ts = np.linspace(t_end - orbit_period, t_end, 801)
             residual = float(np.max(np.abs(
                 sol.values_at(ts) - sol.values_at(ts - orbit_period))))

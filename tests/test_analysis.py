@@ -19,6 +19,7 @@ from relaydde.analysis import (
 )
 from relaydde.maps import type2_coefficients
 from relaydde.model import Params
+from relaydde.numeric import integrate
 from relaydde.tables import ROWS
 
 # rows where the recomputed value disagrees with the benchmark number
@@ -279,15 +280,29 @@ def test_convergence_validation():
         smoothing_convergence(p, -0.25, (0.8,))
 
 
+def test_convergence_solves_once_per_half_width(monkeypatch):
+    import relaydde.analysis as analysis_module
+    solved = []
+
+    def counting_integrate(*args, **kwargs):
+        solved.append(args[1].delta)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "integrate", counting_integrate)
+    smoothing_convergence(Params(1.0, 0.25, 2.5, 1.5), -0.25, (0.2, 0.1), 5.0)
+    assert solved == [0.2, 0.1]
+
+
 def test_convergence_failure_detected(monkeypatch):
     calls = iter([1e-3, 5e-3, 9e-3])
 
-    def fake_compare(params, delta, h, t_end, **kwargs):
+    def fake_compare(params, delta, h, sol):
         dev = next(calls)
         return {"max_dev_overall": dev, "max_dev_outside_corners": dev / 2.0,
-                "corner_windows": (), "integrator_error_estimate": 1e-12}
+                "corner_windows": ()}
 
     import relaydde.analysis as analysis_module
+    monkeypatch.setattr(analysis_module, "integrate", lambda *args, **kwargs: None)
     monkeypatch.setattr(analysis_module, "compare_exact_smoothed", fake_compare)
     with pytest.raises(ConvergenceFailed, match="grew"):
         smoothing_convergence(Params(1.0, 0.25, 2.5, 1.5), -0.25,

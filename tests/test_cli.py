@@ -57,6 +57,18 @@ def test_simulate_smoothed_json(capsys):
     assert payload["events"]
 
 
+@pytest.mark.parametrize("work", [["--t-end", "30", "--delta", "0.01", "--step", "1e-9"],
+                                  ["--t-end", "1e300", "--delta", "0.3"]])
+def test_simulate_over_the_sample_cap_refused(work, capsys):
+    assert main(["simulate", "--a1", "1", "--a2", "0.25", "--p1", "2.5", "--p2", "1.5",
+                 "--h", "-0.25", *work]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: t_end ")
+    assert "above the cap 2,000,000" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_classify_json_verdict(capsys):
     code = main(["classify", "--a1", "5", "--a2", "1", "--p1", "1",
                  "--p2", "3.5"])
@@ -202,6 +214,10 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["smooth", "--a1", "1", "--a2", "0.25", "--p1", "2.5",
                  "--p2", "1.5", "--h", "-0.25", "--deltas", "0.05,xx"]) == 2
     capsys.readouterr()
+    # study horizon within the delay
+    assert main(["smooth", "--a1", "1", "--a2", "0.25", "--p1", "2.5",
+                 "--p2", "1.5", "--h", "-0.25", "--t-end", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: t_end must exceed the delay 1\n")
     # missing config file
     assert main(["classify", "--a1", "1", "--a2", "6", "--p1", "3",
                  "--p2", "1", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -2,7 +2,8 @@
 
 Each case renders one observable result as text: the exit code, stdout and
 any --output file of a CLI run, or the repr of classification and grading
-results; a CLI case may read a --config file written to its temporary dir.
+results, or the arrays and events of an ``integrate`` run; a CLI case may
+read a --config file written to its temporary dir.
 ``golden_digests.json`` holds the digest of every case, so a refactor that
 claims to keep behaviour must keep every digest.
 
@@ -24,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from relaydde import ROWS, Params, classify, reproduce_tables
+from relaydde import (ROWS, Params, Profile, SmoothingSpec, classify, integrate,
+                      reproduce_tables)
 from relaydde.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -95,6 +97,31 @@ def _render_cli(argv, config=None):
     return text
 
 
+def _integrate_cases():
+    """name -> (params, smoothing, h, t_end, step) of the pinned integrate runs."""
+    stable, double = (1.0, 0.25, 2.5, 1.5), (6.0, 1.0, 1.0, 3.0)
+    cases = {}
+    # acceptance criterion 6: both orbits from their smoothed periodic start
+    for point, h_star in ((stable, -0.25), (double, -1.8)):
+        for delta in (0.05, 0.025, 0.0125):
+            h = h_star + (point[0] - point[1]) * delta / 4.0
+            name = "integrate-" + "-".join(map(str, point)) + f"-{delta}"
+            cases[name] = (point, SmoothingSpec(delta), h, 30.0, None)
+    cases["integrate-smoothexp"] = (double, SmoothingSpec(0.05, Profile.SMOOTHEXP),
+                                    -1.8, 26.0, None)
+    cases["integrate-sharp"] = (stable, SmoothingSpec(0.0), -0.25, 12.0, None)
+    cases["integrate-zero-history"] = (stable, SmoothingSpec(0.05), 0.0, 10.0, None)
+    cases["integrate-explicit-step"] = (stable, SmoothingSpec(0.4), -0.25, 12.0,
+                                        0.4 / 128.0)
+    return cases
+
+
+def _render_integrate(point, smoothing, h, t_end, step):
+    sol = integrate(Params(*point), smoothing, h, t_end, step)
+    return repr((sol.times.tolist(), sol.values.tolist(), sol.derivs.tolist(),
+                 sol.events, sol.step))
+
+
 def _render_grid():
     grid = itertools.product(LEVELS, LEVELS, STRETCHES, STRETCHES)
     return "\n".join(repr(classify(Params(*point))) for point in grid)
@@ -116,6 +143,8 @@ RENDERERS = {
     "classify-grid-repr": _render_grid,
     "classify-rows-repr": _render_rows,
     "reproduce-tables": _render_grades,
+    **{name: (lambda run=run: _render_integrate(*run))
+       for name, run in _integrate_cases().items()},
 }
 
 

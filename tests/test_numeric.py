@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from _halving import step_halving_estimate
 from relaydde.exact import ConstantHistory, propagate, zeros
 from relaydde.model import Params, Profile, SmoothingSpec
 from relaydde.numeric import (
@@ -92,6 +93,11 @@ def test_step_and_geometry_validation():
         integrate(params, SmoothingSpec(0.05), -0.25, 5.0, -1e-3)
     with pytest.raises(ValueError):
         integrate(params, SmoothingSpec(0.8), -0.25, 5.0)  # 2*delta >= p2
+    # work beyond MAX_SAMPLES steps is refused before it starts
+    with pytest.raises(ValueError, match="above the cap 2,000,000"):
+        integrate(params, SmoothingSpec(0.01), -0.25, 30.0, 1e-9)
+    with pytest.raises(ValueError, match="above the cap"):
+        integrate(params, SmoothingSpec(0.3), -0.25, 1e300)
     assert default_step(SmoothingSpec(0.0)) == 1e-3
     assert default_step(SmoothingSpec(0.32)) == 1.0 / 64.0
 
@@ -122,17 +128,21 @@ def test_compare_exact_smoothed_matched_start():
     params = Params(1.0, 0.25, 2.5, 1.5)
     delta = 0.025
     h_d = -0.25 + (params.a1 - params.a2) * delta / 4.0
-    rep = compare_exact_smoothed(params, delta, -0.25, 30.0, h_smoothed=h_d)
-    assert rep["max_dev_outside_corners"] <= 10.0 * rep["integrator_error_estimate"]
+    sol = integrate(params, SmoothingSpec(delta), h_d, 30.0)
+    rep = compare_exact_smoothed(params, delta, -0.25, sol)
+    est = step_halving_estimate(params, SmoothingSpec(delta), h_d, sol)
+    assert rep["max_dev_outside_corners"] <= 10.0 * est
     assert delta / 8.0 <= rep["max_dev_overall"] <= 2.0 * delta
-    assert rep["integrator_error_estimate"] >= 1e-12
+    assert est >= 1e-12
     assert len(rep["corner_windows"]) > 10
     for lo, hi in rep["corner_windows"]:
         assert 0.0 <= lo < hi <= 30.0
 
 
 def test_compare_degenerate_delta_zero():
-    rep = compare_exact_smoothed(Params(1.0, 0.25, 2.5, 1.5), 0.0, -0.25, 10.0)
+    params = Params(1.0, 0.25, 2.5, 1.5)
+    sol = integrate(params, SmoothingSpec(0.0), -0.25, 10.0)
+    rep = compare_exact_smoothed(params, 0.0, -0.25, sol)
     assert rep["corner_windows"] == ()
     assert rep["max_dev_overall"] < 1e-10
     assert rep["max_dev_outside_corners"] == rep["max_dev_overall"]
