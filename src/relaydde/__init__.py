@@ -11,10 +11,12 @@ are smoothed.
 
 Module map:
 
-    model     parameter/validation layer, coefficient and nonlinearity values
+    model     parameter/validation layer, coefficient and nonlinearity values,
+              the coefficient switch schedule and the work cap
     exact     event-driven exact propagation and piecewise-affine paths
     maps      return-map coefficients, fixed points, classify, basins
-    numeric   one-step integrator for the smoothed system, comparisons
+    numeric   run checks (run_step) and one-step integrator for the smoothed
+              system, comparisons
     tables    embedded benchmark dataset
     analysis  benchmark grading from classify, coexistence pairing, scans,
               convergence
@@ -90,10 +92,10 @@ from .numeric import (
     StepTooLarge,
     compare_exact_smoothed,
     corner_windows,
-    default_step,
     integrate,
     one_period_multiplier,
     parabola_coefficients,
+    run_step,
 )
 from .tables import ROWS, TableRow, rows_for
 
@@ -137,7 +139,6 @@ __all__ = [
     "coexistence_check",
     "compare_exact_smoothed",
     "corner_windows",
-    "default_step",
     "dual_params",
     "format_table_report",
     "grade_row",
@@ -153,6 +154,7 @@ __all__ = [
     "propagate",
     "reproduce_tables",
     "rows_for",
+    "run_step",
     "scan",
     "smoothing_convergence",
     "type1_coefficients",

@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 from .exact import ConstantHistory, PiecewisePath, path_sup_distance, propagate
 from .maps import SHAPE_INVALID, STABLE_2T, STABLE_T, UNSTABLE_T, classify, dual_params
-from .model import Params, RelayDDEError, SmoothingSpec, validate_geometry
-from .numeric import compare_exact_smoothed, integrate
+from .model import MAX_WORK, Params, RelayDDEError, SmoothingSpec
+from .numeric import compare_exact_smoothed, integrate, run_step
 from .tables import ROWS, TableRow
 
 SHIFT_TOL = 1e-9
@@ -180,9 +180,9 @@ def coexistence_check(params: Params, *, horizon_periods: int = 30) -> Coexisten
     tails = []
     for sgn in (1.0, -1.0):
         z = propagate(params, ConstantHistory(h_u + sgn * 1e-3), span)
+        z_ahead = _shifted(z, -2.0 * T)
         for n in range(1, horizon_periods - 1):
-            w = path_sup_distance(_shifted(z, -2.0 * T), z,
-                                  n * 2.0 * T, (n + 1) * 2.0 * T)
+            w = path_sup_distance(z_ahead, z, n * 2.0 * T, (n + 1) * 2.0 * T)
             if w <= ATTRACTION_TOL:
                 conv_periods.append(n)
                 residuals.append(w)
@@ -294,21 +294,26 @@ class ScanReport:
 def _axis(lo: float, hi: float, n: int) -> tuple[float, ...]:
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0.0 or hi < lo:
         raise ValueError(f"range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
-    if n < 2:
-        raise ValueError("resolution must be at least 2 per axis")
     return tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
 
 
 def scan(a1_range: tuple[float, float], a2_range: tuple[float, float],
          p1_range: tuple[float, float], p2_range: tuple[float, float],
          resolution: int | tuple[int, int, int, int] = 3) -> ScanReport:
-    """Classify every point of a grid over the given parameter box."""
+    """Classify every point of a grid over the given parameter box.
+
+    A grid of more than MAX_WORK cells is refused before any axis is built.
+    """
     if isinstance(resolution, int):
         res = (resolution,) * 4
     else:
         res = tuple(resolution)
         if len(res) != 4:
             raise ValueError("resolution must be an int or a 4-tuple")
+    if min(res) < 2:
+        raise ValueError("resolution must be at least 2 per axis")
+    if math.prod(res) > MAX_WORK:
+        raise ValueError(f"a grid of {math.prod(res):,} cells is above the cap {MAX_WORK:,}")
     axes = (
         _axis(*a1_range, res[0]),
         _axis(*a2_range, res[1]),
@@ -355,7 +360,8 @@ def smoothing_convergence(params: Params, h: float, deltas,
     """Check uniform convergence of the smoothed system as delta shrinks.
 
     deltas must be a strictly decreasing list of positive half-widths and
-    t_end must exceed the delay 1. Each half-width is integrated once, from
+    t_end must exceed the delay 1. Every half-width's run passes run_step
+    before the first solve. Each half-width is then integrated once, from
     h to t_end at the default step, and compared with the exact solution
     by compare_exact_smoothed. The overall deviation must be non-increasing
     along the list and the final outside-corner residual must stay below
@@ -369,10 +375,10 @@ def smoothing_convergence(params: Params, h: float, deltas,
         raise ValueError("all deltas must be positive and finite")
     if any(b >= a for a, b in zip(ds, ds[1:])):
         raise ValueError("deltas must be strictly decreasing")
-    for d in ds:
-        validate_geometry(params, SmoothingSpec(d))
     if not math.isfinite(t_end) or t_end <= 1.0:
         raise ValueError("t_end must exceed the delay 1")
+    for d in ds:
+        run_step(params, SmoothingSpec(d), t_end)
     rows = []
     for d in ds:
         sol = integrate(params, SmoothingSpec(d), h, t_end)

@@ -5,9 +5,13 @@ the relay feedback f(x(t - 1)) is locked to +-1 by the sign of the delayed
 value and a(t) is constant between switch times.  Solutions are therefore
 piecewise affine, and the dynamics is advanced exactly from event to event:
 
-  * coefficient switch times k*T and k*T + p1,
+  * coefficient switch times k*T and k*T + p1, read in order, with the
+    level each one starts, from model.switch_times,
   * feedback flips one delay unit after each zero of the solution,
   * zeros of the solution, found in closed form on each affine piece.
+
+The event budget grows with the span; a run whose budget exceeds
+model.MAX_WORK is refused before it starts.
 
 A constant nonzero history pins the feedback sign on the first delay
 interval, and every later zero is a transversal crossing, so the construction
@@ -24,7 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
-from .model import Params, RelayDDEError, coefficient_value
+from .model import MAX_WORK, Params, RelayDDEError, coefficient_value, switch_times
 
 # Two event times closer than this are treated as one simultaneous event.
 TIME_TOL = 1e-12
@@ -107,17 +111,6 @@ class PiecewisePath:
         }
 
 
-def _next_switch_after(params: Params, t: float) -> float:
-    """Smallest coefficient switch time k*T or k*T + p1 above t + TIME_TOL."""
-    T = params.period
-    k = math.floor(t / T)
-    for kk in (k - 1, k, k + 1, k + 2):
-        for s in (kk * T, kk * T + params.p1):
-            if s > t + TIME_TOL:
-                return s
-    raise AssertionError("switch search failed")  # pragma: no cover
-
-
 def propagate(
     params: Params,
     history: ConstantHistory,
@@ -133,21 +126,31 @@ def propagate(
     """
     if not math.isfinite(t_end) or t_end <= start_time + TIME_TOL:
         raise ValueError("t_end must exceed start_time")
+    span = t_end - start_time
+    rate = 4.0 + 8.0 / min(params.p1, params.p2, 1.0)
+    if 1000 + span * rate > MAX_WORK:
+        raise ValueError(f"a span of {span:.6g} allows up to {1000 + span * rate:.3g} "
+                         f"events, above the cap {MAX_WORK:,}")
+    budget = 1000 + int(span * rate)
     h = history.h
     t, x = start_time, h
     times = [t]
     values = [x]
     fb = 1.0 if h < 0.0 else -1.0
     t_flip = math.inf  # pending feedback flip time; at most one is ever pending
-    span = t_end - start_time
-    budget = 1000 + int(span * (4.0 + 8.0 / min(params.p1, params.p2, 1.0)))
+    # level on the current piece; a switch within TIME_TOL of t counts as passed
+    level = coefficient_value(params, start_time)
+    switches = switch_times(params, start_time - TIME_TOL, t_end)
+    t_switch, next_level = next(switches, (math.inf, level))
     while t < t_end - TIME_TOL:
         budget -= 1
         if budget < 0:
             raise DegenerateStall("event budget exceeded; dynamics did not stay slowly oscillating")
-        t_stop = min(t_end, _next_switch_after(params, t), t_flip)
-        a_mid = coefficient_value(params, (t + t_stop) / 2.0)
-        slope = a_mid * fb
+        while t_switch <= t + TIME_TOL:
+            level = next_level
+            t_switch, next_level = next(switches, (math.inf, level))
+        t_stop = min(t_end, t_switch, t_flip)
+        slope = level * fb
         # closed-form zero of the affine piece, if the piece heads toward zero
         z = None
         if x != 0.0 and (x < 0.0) == (slope > 0.0):

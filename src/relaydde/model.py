@@ -16,8 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 INV_E = 1.0 / math.e
+# most events, integrator steps or scan cells one request may ask for;
+# 2,000,000 integrator samples take about 260 MB
+MAX_WORK = 2_000_000
 
 
 class RelayDDEError(Exception):
@@ -74,14 +78,29 @@ class SmoothingSpec:
         object.__setattr__(self, "profile", Profile(self.profile))
 
 
-def validate_geometry(params: Params, smoothing: SmoothingSpec | None) -> None:
+def switch_times(params: Params, start: float, stop: float) -> Iterator[tuple[float, float]]:
+    """Yield, in increasing order, each switch time s in [start, stop] and the
+    level starting there: (k*T, a1) and (k*T + p1, a2) for integer k."""
+    T, p1 = params.period, params.p1
+    k = math.floor(start / T) - 1  # one period early, in case start / T rounds up
+    while k * T <= stop:
+        s = k * T
+        if s >= start:
+            yield s, params.a1
+        s += p1
+        if start <= s <= stop:
+            yield s, params.a2
+        k += 1
+
+
+def validate_geometry(params: Params, smoothing: SmoothingSpec) -> None:
     """Check that the smoothing windows fit the coefficient plateaus.
 
     The ramps centred at the switch times have half-width delta.  They must
     not overlap each other (2*delta < min(p1, p2)) and must stay below the
     delay (delta < 1).  A zero delta always passes.
     """
-    d = 0.0 if smoothing is None else smoothing.delta
+    d = smoothing.delta
     if d == 0.0:
         return
     if d >= 1.0:
@@ -90,7 +109,7 @@ def validate_geometry(params: Params, smoothing: SmoothingSpec | None) -> None:
         raise ValueError("smoothing windows overlap: 2*delta must stay below min(p1, p2)")
 
 
-def coefficient_value(params: Params, t: float, smoothing: SmoothingSpec | None = None) -> float:
+def coefficient_value(params: Params, t: float, smoothing: SmoothingSpec = SmoothingSpec()) -> float:
     """Value of the (possibly smoothed) coefficient at time t.
 
     Without smoothing this is the two-level step.  With smoothing each jump
@@ -102,7 +121,7 @@ def coefficient_value(params: Params, t: float, smoothing: SmoothingSpec | None 
     phase = t % T
     if phase >= T:  # guard against rounding of tiny negative t
         phase = 0.0
-    d = 0.0 if smoothing is None else smoothing.delta
+    d = smoothing.delta
     if d == 0.0:
         return params.a1 if phase < params.p1 else params.a2
     validate_geometry(params, smoothing)
@@ -118,7 +137,7 @@ def coefficient_value(params: Params, t: float, smoothing: SmoothingSpec | None 
     return a2 + (a1 - a2) * (phase - (T - d)) / (2.0 * d)
 
 
-def nonlinearity_value(smoothing: SmoothingSpec | None, x: float) -> float:
+def nonlinearity_value(smoothing: SmoothingSpec, x: float) -> float:
     """Negative-feedback nonlinearity f(x).
 
     delta == 0 gives the relay -sign(x).  The affine profile is the relay
@@ -127,7 +146,7 @@ def nonlinearity_value(smoothing: SmoothingSpec | None, x: float) -> float:
     exp(delta*x / (x - delta)) - 1 on [0, delta) and -1 beyond; it has
     slope -1 at zero and joins the saturated levels flatly.
     """
-    d = 0.0 if smoothing is None else smoothing.delta
+    d = smoothing.delta
     if d == 0.0:
         if x > 0.0:
             return -1.0
@@ -148,9 +167,9 @@ def nonlinearity_value(smoothing: SmoothingSpec | None, x: float) -> float:
     return -v if x < 0.0 else v
 
 
-def nonlinearity_slope_at_zero(smoothing: SmoothingSpec | None) -> float:
+def nonlinearity_slope_at_zero(smoothing: SmoothingSpec) -> float:
     """|f'(0)| for the chosen profile; infinity for the sharp relay."""
-    d = 0.0 if smoothing is None else smoothing.delta
+    d = smoothing.delta
     if d == 0.0:
         return math.inf
     if smoothing.profile is Profile.AFFINE:
@@ -158,7 +177,7 @@ def nonlinearity_slope_at_zero(smoothing: SmoothingSpec | None) -> float:
     return 1.0
 
 
-def oscillation_condition(params: Params, smoothing: SmoothingSpec | None = None) -> bool:
+def oscillation_condition(params: Params, smoothing: SmoothingSpec = SmoothingSpec()) -> bool:
     """Sufficient slope condition for oscillation: |f'(0)| * min(a1, a2) > 1/e.
 
     The sharp relay (delta == 0) always satisfies it.  This checks the slope

@@ -8,9 +8,9 @@ per step. Delayed values come from cubic Hermite interpolation of stored
 
 Order is preserved by never letting a step straddle a kink of the rhs:
 
-  * static knots at the coefficient ramp edges (multiples of T and T+p1,
-    shifted by +-delta when delta > 0) and at the integer lattice, where
-    the history junction echoes;
+  * static knots at the coefficient ramp edges (the switch times k*T and
+    k*T + p1 from model.switch_times, shifted by +-delta when delta > 0)
+    and at the integer lattice, where the history junction echoes;
   * dynamic knots one delay after the solution crosses a level where the
     nonlinearity bends (-delta, 0, +delta), found by root-solving the
     Hermite interpolant of the step that produced the crossing.
@@ -30,19 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import ConstantHistory, propagate, zeros as path_zeros
-from .model import (
-    Params,
-    RelayDDEError,
-    SmoothingSpec,
-    coefficient_value,
-    nonlinearity_value,
-    validate_geometry,
-)
+from .model import (MAX_WORK, Params, RelayDDEError, SmoothingSpec, coefficient_value,
+                    nonlinearity_value, switch_times, validate_geometry)
 
 BREAK_TOL = 1e-9
 SIDE_NUDGE = 1e-10
-# largest t_end / step that integrate accepts, about 260 MB of samples
-MAX_SAMPLES = 2_000_000
 
 
 class StepTooLarge(RelayDDEError):
@@ -100,27 +92,15 @@ class DenseSolution:
         i = np.where(degenerate & (i + 2 <= len(self.times) - 1), i + 1, i)
         i = np.where(self.times[i + 1] == self.times[i], i - 1, i)
         dt = self.times[i + 1] - self.times[i]
-        u = (tq - self.times[i]) / dt
-        u2 = u * u
-        u3 = u2 * u
-        out = ((2.0 * u3 - 3.0 * u2 + 1.0) * self.values[i]
-               + (u3 - 2.0 * u2 + u) * dt * self.derivs[i]
-               + (-2.0 * u3 + 3.0 * u2) * self.values[i + 1]
-               + (u3 - u2) * dt * self.derivs[i + 1])
+        out = _hermite((tq - self.times[i]) / dt, dt, self.values[i], self.derivs[i],
+                       self.values[i + 1], self.derivs[i + 1])
         return float(out[0]) if scalar else out
 
     def value_at(self, t: float) -> float:
         return float(self.values_at(t))
 
 
-def default_step(smoothing: SmoothingSpec) -> float:
-    """Default integration step: resolve each ramp with >= 16 nodes."""
-    if smoothing.delta > 0.0:
-        return min(smoothing.delta / 16.0, 1.0 / 64.0)
-    return 1e-3
-
-
-def _hermite(u: float, dt: float, x0: float, d0: float, x1: float, d1: float) -> float:
+def _hermite(u, dt, x0, d0, x1, d1):  # floats or numpy arrays
     u2 = u * u
     u3 = u2 * u
     return ((2.0 * u3 - 3.0 * u2 + 1.0) * x0 + (u3 - 2.0 * u2 + u) * dt * d0
@@ -154,15 +134,31 @@ def _crossing_time(t0: float, t1: float, x0: float, d0: float, x1: float,
     return t0 + 0.5 * (lo + hi) * dt
 
 
-def _switch_times(params: Params, hi: float):
-    """The coefficient switch times k*T and k*T + p1 (k = 0, 1, ...) up to hi."""
-    T = params.period
-    k = 0
-    while k * T <= hi:
-        yield k * T
-        if k * T + params.p1 <= hi:
-            yield k * T + params.p1
-        k += 1
+def run_step(params: Params, smoothing: SmoothingSpec, t_end: float,
+             step: float | None = None) -> float:
+    """The step integrate takes to t_end, after every check it makes on the run.
+
+    t_end must be positive and finite, the ramps must fit (validate_geometry),
+    and the step must not exceed delta/16 when delta > 0, nor 1e-3 when
+    delta == 0; omitted, it is min(delta/16, 1/64) (>= 16 nodes per ramp) or
+    1e-3. A run of more than MAX_WORK steps (t_end / step) is refused.
+    """
+    if not math.isfinite(t_end) or t_end <= 0.0:
+        raise ValueError("t_end must be positive and finite")
+    validate_geometry(params, smoothing)
+    delta = smoothing.delta
+    if step is None:
+        step = min(delta / 16.0, 1.0 / 64.0) if delta > 0.0 else 1e-3
+    if not math.isfinite(step) or step <= 0.0:
+        raise ValueError("step must be positive and finite")
+    if delta > 0.0 and step > delta / 16.0 * (1.0 + 1e-12):
+        raise StepTooLarge(f"step {step} exceeds delta/16 = {delta / 16.0}")
+    if delta == 0.0 and step > 1e-3 * (1.0 + 1e-12):
+        raise StepTooLarge(f"step {step} exceeds the sharp-model cap 1e-3")
+    if t_end / step > MAX_WORK:
+        raise ValueError(f"t_end {t_end} / step {step} asks for about "
+                         f"{t_end / step:.3g} samples, above the cap {MAX_WORK:,}")
+    return step
 
 
 def integrate(params: Params, smoothing: SmoothingSpec, h: float,
@@ -170,28 +166,13 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
     """Integrate x'(t) = a(t) f(x(t-1)) from the constant history h on [-1, 0].
 
     h may be any finite real, including 0 (the invariant zero solution).
-    The step must not exceed delta/16 when delta > 0, nor 1e-3 when
-    delta == 0; omitted, it defaults to ``default_step``. A run of more
-    than MAX_SAMPLES steps (t_end / step) is refused before it starts.
+    The run and the step are checked, and an omitted step chosen, by
+    run_step before anything is built.
     """
     if not math.isfinite(h):
         raise ValueError("history value h must be finite")
-    if not math.isfinite(t_end) or t_end <= 0.0:
-        raise ValueError("t_end must be positive and finite")
-    validate_geometry(params, smoothing)
+    step = run_step(params, smoothing, t_end, step)
     delta = smoothing.delta
-    if step is None:
-        step = default_step(smoothing)
-    if not math.isfinite(step) or step <= 0.0:
-        raise ValueError("step must be positive and finite")
-    if delta > 0.0 and step > delta / 16.0 * (1.0 + 1e-12):
-        raise StepTooLarge(f"step {step} exceeds delta/16 = {delta / 16.0}")
-    if delta == 0.0 and step > 1e-3 * (1.0 + 1e-12):
-        raise StepTooLarge(f"step {step} exceeds the sharp-model cap 1e-3")
-    if t_end / step > MAX_SAMPLES:
-        raise ValueError(f"t_end {t_end} / step {step} asks for about "
-                         f"{t_end / step:.3g} samples, above the cap {MAX_SAMPLES:,}")
-
     sharp = delta == 0.0
 
     # the sorted knots: ramp edges (switch times when sharp), the integer
@@ -199,7 +180,7 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
     # BREAK_TOL apart; the walk visits them by index, and dynamic echo knots
     # are inserted ahead of it
     offsets = (0.0,) if sharp else (-delta, delta)
-    edges = (s + off for s in _switch_times(params, t_end + delta) for off in offsets)
+    edges = (s + off for s, _ in switch_times(params, 0.0, t_end + delta) for off in offsets)
     statics = [e for e in edges if BREAK_TOL < e < t_end - BREAK_TOL]
     statics += [float(j) for j in range(1, math.ceil(t_end - BREAK_TOL))]
     knots: list[float] = []
@@ -319,7 +300,7 @@ def corner_windows(params: Params, delta: float, zero_times, t_end: float) -> tu
     if delta <= 0.0:
         return ()
     eps = delta / min(params.a1, params.a2)
-    centers = list(_switch_times(params, t_end + eps))
+    centers = [s for s, _ in switch_times(params, 0.0, t_end + eps)]
     for z in zero_times:
         c = z + 1.0
         if -eps <= c <= t_end + eps:

@@ -162,6 +162,11 @@ def test_coexistence_requires_validated_unstable_orbit():
         coexistence_check(Params(2.0, 7.0, 2.0, 3.0))
 
 
+def test_coexistence_refuses_a_horizon_over_the_cap():
+    with pytest.raises(ValueError, match="above the cap"):
+        coexistence_check(Params(1.0, 6.0, 3.0, 1.0), horizon_periods=10**8)
+
+
 def test_coexistence_requires_validated_dual_orbit():
     # the dual of this point has d < 0, so no stable period-2T orbit exists
     with pytest.raises(PairingFailed, match="dual"):
@@ -227,6 +232,11 @@ def test_scan_validation():
         scan((0.0, 2.0), (1, 2), (1, 2), (1, 2), 2)
     with pytest.raises(ValueError):
         scan((2.0, 1.0), (1, 2), (1, 2), (1, 2), 2)
+    # more cells than the 2,000,000 cap are refused before any axis is built
+    with pytest.raises(ValueError, match="above the cap 2,000,000"):
+        scan((1, 2), (1, 2), (1, 2), (1, 2), 38)
+    with pytest.raises(ValueError, match="above the cap"):
+        scan((1, 2), (1, 2), (1, 2), (1, 2), 10**9)
 
 
 def test_scan_jsonable():
@@ -291,6 +301,22 @@ def test_convergence_solves_once_per_half_width(monkeypatch):
     monkeypatch.setattr(analysis_module, "integrate", counting_integrate)
     smoothing_convergence(Params(1.0, 0.25, 2.5, 1.5), -0.25, (0.2, 0.1), 5.0)
     assert solved == [0.2, 0.1]
+
+
+def test_convergence_refuses_over_the_cap_before_any_solve(monkeypatch):
+    # 2000 / (0.0125 / 16) is 2.56e6 steps; the run at 0.3 must not be solved
+    # before the one at 0.0125 is refused
+    import relaydde.analysis as analysis_module
+    solved = []
+
+    def counting_integrate(*args, **kwargs):
+        solved.append(args[1].delta)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "integrate", counting_integrate)
+    with pytest.raises(ValueError, match="above the cap 2,000,000"):
+        smoothing_convergence(Params(1.0, 0.25, 2.5, 1.5), -0.25, (0.3, 0.0125), 2000.0)
+    assert solved == []
 
 
 def test_convergence_failure_detected(monkeypatch):

@@ -2,14 +2,20 @@
 
 Every test invokes main(argv) in-process and checks the exit code, the
 payload on stdout or in the declared output file, and that nothing else
-gets written.
+gets written.  The over-the-cap refusals run the CLI in a subprocess under
+a timeout, so a request that starts its work instead of refusing it fails
+the test rather than hanging the run.
 """
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relaydde
 from relaydde.cli import main
 from relaydde.tables import ROWS
 
@@ -67,6 +73,28 @@ def test_simulate_over_the_sample_cap_refused(work, capsys):
     assert captured.err.startswith("error: t_end ")
     assert "above the cap 2,000,000" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--a1", "1", "--a2", "0.25", "--p1", "2.5", "--p2", "1.5",
+     "--h", "-0.25", "--t-end", "1e300", "--delta", "0"],
+    ["coexist", "--a1", "1", "--a2", "6", "--p1", "3", "--p2", "1",
+     "--horizon", "100000000"],
+    ["scan", "--a1", "1", "--a2", "0.25", "--p1", "2.5", "--p2", "1.5",
+     "--resolution", "1000"],
+    ["smooth", "--a1", "1", "--a2", "0.25", "--p1", "2.5", "--p2", "1.5",
+     "--h", "-0.25", "--deltas", "0.3,0.0125", "--t-end", "2000"],
+], ids=["simulate-exact", "coexist", "scan", "smooth"])
+def test_over_the_cap_refused_at_once(argv):
+    src = str(Path(relaydde.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "relaydde.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert "above the cap 2,000,000" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_classify_json_verdict(capsys):

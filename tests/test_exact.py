@@ -1,10 +1,12 @@
 """Tests for the event-driven exact propagation engine."""
 
+import bisect
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaydde.exact import (
     ConstantHistory,
@@ -57,6 +59,13 @@ def test_propagate_rejects_bad_horizon():
         propagate(params, ConstantHistory(-0.25), 0.0)
     with pytest.raises(ValueError):
         propagate(params, ConstantHistory(-0.25), math.inf)
+    # the event budget, 1000 + span * (4 + 8 / min(p1, p2, 1)), is checked
+    # against the 2,000,000 cap before the first event
+    with pytest.raises(ValueError, match="above the cap 2,000,000"):
+        propagate(params, ConstantHistory(-0.25), 1e300)
+    with pytest.raises(ValueError, match="above the cap"):
+        propagate(params, ConstantHistory(-0.25), 166_584.0)
+    assert propagate(params, ConstantHistory(-0.25), 16_000.0).end_time == 16_000.0
 
 
 def test_known_periodic_orbit_two_zero():
@@ -239,3 +248,58 @@ def test_path_sup_distance_exact():
     assert abs(path_sup_distance(p, q) - 1.0) < 1e-15
     with pytest.raises(ValueError):
         path_sup_distance(p, q, 3.0, 4.0)
+
+
+# --- properties over random runs ---------------------------------------------
+
+PROPERTY_RUNS = settings(derandomize=True, max_examples=500, deadline=None)
+levels = st.floats(0.1, 10.0)
+stretches = st.floats(0.1, 5.0)
+
+
+@st.composite
+def runs(draw):
+    """(params, h, start_time, t_end): start_time is 0, p1 or arbitrary."""
+    a1, a2, p1 = draw(levels), draw(levels), draw(stretches)
+    p2 = draw(st.floats(max(0.1, 1.0 - p1 + 1e-3), 5.0))
+    params = Params(a1, a2, p1, p2)
+    h = draw(st.floats(1e-3, 10.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    start = draw(st.sampled_from((0.0, p1, None)))
+    if start is None:
+        start = draw(st.floats(-50.0, 50.0))
+    return params, h, start, start + draw(st.floats(0.5, 8.0)) * params.period
+
+
+@PROPERTY_RUNS
+@given(runs())
+def test_property_odd_symmetry(run):
+    params, h, start, t_end = run
+    plus = propagate(params, ConstantHistory(h), t_end, start_time=start)
+    minus = propagate(params, ConstantHistory(-h), t_end, start_time=start)
+    assert plus.times == minus.times
+    assert plus.values == tuple(-v for v in minus.values)
+
+
+@PROPERTY_RUNS
+@given(runs())
+def test_property_zeros_stay_more_than_a_delay_apart(run):
+    params, h, start, t_end = run
+    zs = zeros(propagate(params, ConstantHistory(h), t_end, start_time=start))
+    assert all(b - a > 1.0 for a, b in zip(zs, zs[1:]))
+
+
+@PROPERTY_RUNS
+@given(runs())
+def test_property_every_switch_time_is_a_knot(run):
+    params, h, start, t_end = run
+    path = propagate(params, ConstantHistory(h), t_end, start_time=start)
+    T = params.period
+    k = math.floor(start / T)
+    inside = []
+    while k * T < t_end:
+        inside += [s for s in (k * T, k * T + params.p1) if start < s < t_end]
+        k += 1
+    for s in inside:
+        i = bisect.bisect_left(path.times, s)
+        near = path.times[max(i - 1, 0):i + 1]
+        assert min(abs(s - t) for t in near) <= 1e-9, s

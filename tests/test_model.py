@@ -14,6 +14,7 @@ from relaydde.model import (
     nonlinearity_value,
     oscillation_condition,
     parse_config_text,
+    switch_times,
     validate_geometry,
 )
 
@@ -47,7 +48,7 @@ def test_smoothing_spec_validation():
 
 def test_validate_geometry():
     p = Params(a1=1.0, a2=6.0, p1=3.0, p2=1.0)
-    validate_geometry(p, None)
+    validate_geometry(p, SmoothingSpec())
     validate_geometry(p, SmoothingSpec(delta=0.4))
     with pytest.raises(ValueError):
         validate_geometry(p, SmoothingSpec(delta=0.5))  # 2*delta == p2
@@ -65,6 +66,19 @@ def test_sharp_coefficient_levels_and_periodicity():
     assert coefficient_value(p, 7.0) == 6.0
     assert coefficient_value(p, -0.5) == 6.0  # periodic extension to negative times
     assert coefficient_value(p, -1e-18) == 1.0  # rounding of tiny negative phase
+
+
+def test_switch_schedule():
+    p = Params(a1=1.0, a2=6.0, p1=3.0, p2=1.0)
+    # both ends are inclusive; each time carries the level that starts there
+    assert list(switch_times(p, 0.0, 8.0)) == [
+        (0.0, 1.0), (3.0, 6.0), (4.0, 1.0), (7.0, 6.0), (8.0, 1.0)]
+    assert list(switch_times(p, -5.0, -0.5)) == [(-5.0, 6.0), (-4.0, 1.0), (-1.0, 6.0)]
+    assert list(switch_times(p, 3.5, 3.9)) == []
+    # every level agrees with the coefficient just after its switch time
+    q = Params(a1=2.0, a2=0.5, p1=1.3, p2=0.9)
+    for s, level in switch_times(q, -7.0, 40.0):
+        assert coefficient_value(q, s + 1e-9) == level
 
 
 def test_smoothed_coefficient_ramp_shape():
@@ -109,9 +123,9 @@ def test_smoothed_coefficient_rejects_bad_geometry():
 
 
 def test_relay_nonlinearity():
-    assert nonlinearity_value(None, 2.5) == -1.0
-    assert nonlinearity_value(None, -0.1) == 1.0
-    assert nonlinearity_value(None, 0.0) == 0.0
+    assert nonlinearity_value(SmoothingSpec(), 2.5) == -1.0
+    assert nonlinearity_value(SmoothingSpec(), -0.1) == 1.0
+    assert nonlinearity_value(SmoothingSpec(), 0.0) == 0.0
     assert nonlinearity_value(SmoothingSpec(delta=0.0), 3.0) == -1.0
 
 
@@ -146,14 +160,14 @@ def test_smoothexp_nonlinearity_shape():
 
 
 def test_slope_at_zero():
-    assert math.isinf(nonlinearity_slope_at_zero(None))
+    assert math.isinf(nonlinearity_slope_at_zero(SmoothingSpec()))
     assert nonlinearity_slope_at_zero(SmoothingSpec(delta=0.25)) == 4.0
     assert nonlinearity_slope_at_zero(SmoothingSpec(delta=0.25, profile="smoothexp")) == 1.0
 
 
 def test_oscillation_condition():
     p = Params(a1=1.0, a2=6.0, p1=3.0, p2=1.0)
-    assert oscillation_condition(p, None)
+    assert oscillation_condition(p)
     assert oscillation_condition(p, SmoothingSpec(delta=0.0))
     # the slope test can be asked about any delta, even one too wide
     # for the ramp geometry of these plateaus

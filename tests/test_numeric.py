@@ -13,10 +13,10 @@ from relaydde.numeric import (
     StepTooLarge,
     compare_exact_smoothed,
     corner_windows,
-    default_step,
     integrate,
     one_period_multiplier,
     parabola_coefficients,
+    run_step,
 )
 
 
@@ -93,13 +93,22 @@ def test_step_and_geometry_validation():
         integrate(params, SmoothingSpec(0.05), -0.25, 5.0, -1e-3)
     with pytest.raises(ValueError):
         integrate(params, SmoothingSpec(0.8), -0.25, 5.0)  # 2*delta >= p2
-    # work beyond MAX_SAMPLES steps is refused before it starts
+    # work beyond MAX_WORK steps is refused before it starts
     with pytest.raises(ValueError, match="above the cap 2,000,000"):
         integrate(params, SmoothingSpec(0.01), -0.25, 30.0, 1e-9)
     with pytest.raises(ValueError, match="above the cap"):
         integrate(params, SmoothingSpec(0.3), -0.25, 1e300)
-    assert default_step(SmoothingSpec(0.0)) == 1e-3
-    assert default_step(SmoothingSpec(0.32)) == 1.0 / 64.0
+    # run_step makes the same checks without a solve and returns the step
+    assert run_step(params, SmoothingSpec(0.0), 5.0) == 1e-3
+    assert run_step(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.32), 5.0) == 1.0 / 64.0
+    assert run_step(params, SmoothingSpec(0.05), 5.0) == 0.05 / 16.0
+    assert run_step(params, SmoothingSpec(0.05), 5.0, 1e-3) == 1e-3
+    with pytest.raises(StepTooLarge):
+        run_step(params, SmoothingSpec(0.05), 5.0, 0.05 / 8.0)
+    with pytest.raises(ValueError, match="overlap"):
+        run_step(params, SmoothingSpec(0.8), 5.0)
+    with pytest.raises(ValueError, match="above the cap 2,000,000"):
+        run_step(params, SmoothingSpec(0.0125), 2000.0)
 
 
 def test_long_run_settles_to_near_periodic_orbit():
