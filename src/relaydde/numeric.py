@@ -15,6 +15,19 @@ Order is preserved by never letting a step straddle a kink of the rhs:
     nonlinearity bends (-delta, 0, +delta), found by root-solving the
     Hermite interpolant of the step that produced the crossing.
 
+The delay is exactly 1, so the run advances by the method of steps
+(Bellen & Zennaro, Numerical Methods for Delay Differential Equations,
+2003, ch. 3): from the last stored time t, every chunk up to the last knot
+at or below t + 1 evaluates its rhs at times s <= t + 1, which read the
+history only at s - 1 <= t, where it is already stored. One numpy pass per
+delay unit therefore evaluates all those rhs values, and one cumulative sum
+seeded with the carried state adds the Simpson increments in the order,
+and with the rounding, of a step-by-step loop. The knots of a pass are all
+known when it starts: an echo of a crossing at or after t lands beyond
+t + 1. (A chunk longer than the delay, left where an integer knot was
+merged into a ramp edge less than BREAK_TOL below it, is split at the last
+step whose history is stored.)
+
 With delta == 0 the rhs is piecewise constant between knots, Simpson
 integrates it exactly, and the scheme reproduces the event-driven
 construction to rounding; knots are then stored twice, carrying the
@@ -30,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import ConstantHistory, propagate, zeros as path_zeros
-from .model import (MAX_WORK, Params, RelayDDEError, SmoothingSpec, coefficient_value,
-                    nonlinearity_value, switch_times, validate_geometry)
+from .model import (MAX_WORK, Params, Profile, RelayDDEError, SmoothingSpec, switch_times,
+                    validate_geometry)
 
 BREAK_TOL = 1e-9
 SIDE_NUDGE = 1e-10
@@ -84,16 +97,7 @@ class DenseSolution:
         if np.any(tq < lo - 1e-9) or np.any(tq > hi + 1e-9):
             raise ValueError("query time outside the stored range")
         tq = np.clip(tq, lo, hi)
-        i = np.searchsorted(self.times, tq, side="right") - 1
-        i = np.clip(i, 0, len(self.times) - 2)
-        # a query landing exactly on the first copy of a repeated knot
-        # would select the zero-width interval; step past it
-        degenerate = self.times[i + 1] == self.times[i]
-        i = np.where(degenerate & (i + 2 <= len(self.times) - 1), i + 1, i)
-        i = np.where(self.times[i + 1] == self.times[i], i - 1, i)
-        dt = self.times[i + 1] - self.times[i]
-        out = _hermite((tq - self.times[i]) / dt, dt, self.values[i], self.derivs[i],
-                       self.values[i + 1], self.derivs[i + 1])
+        out = _hermite_at(self.values, self.derivs, *_locate(self.times, tq))
         return float(out[0]) if scalar else out
 
     def value_at(self, t: float) -> float:
@@ -105,6 +109,67 @@ def _hermite(u, dt, x0, d0, x1, d1):  # floats or numpy arrays
     u3 = u2 * u
     return ((2.0 * u3 - 3.0 * u2 + 1.0) * x0 + (u3 - 2.0 * u2 + u) * dt * d0
             + (-2.0 * u3 + 3.0 * u2) * x1 + (u3 - u2) * dt * d1)
+
+
+def _locate(times, tq):
+    """Interval index i, offset u and width dt of each query in [times[0], times[-1]].
+
+    A query reads the interval that starts at the last stored time at or
+    before it, which is the second copy of a repeated time, or the last
+    interval; a zero-width interval there is stepped back off.
+    """
+    i = np.minimum(np.searchsorted(times, tq, side="right") - 1, len(times) - 2)
+    i = np.where(times[i + 1] == times[i], i - 1, i)
+    t0 = times[i]
+    dt = times[i + 1] - t0
+    return i, (tq - t0) / dt, dt
+
+
+def _hermite_at(values, derivs, i, u, dt):
+    """_hermite on the located intervals, gathering each operand as its term is added."""
+    u2 = u * u
+    u3 = u2 * u
+    out = (2.0 * u3 - 3.0 * u2 + 1.0) * values[i]
+    out += (u3 - 2.0 * u2 + u) * dt * derivs[i]
+    i = i + 1
+    out += (-2.0 * u3 + 3.0 * u2) * values[i]
+    out += (u3 - u2) * dt * derivs[i]
+    return out
+
+
+def _coefficient_array(params: Params, smoothing: SmoothingSpec, t: np.ndarray) -> np.ndarray:
+    """model.coefficient_value at each time in t, bit for bit, without its
+    per-call geometry check (run_step makes it once per run)."""
+    T = params.period
+    phase = t % T
+    phase[phase >= T] = 0.0
+    a1, a2, p1, d = params.a1, params.a2, params.p1, smoothing.delta
+    out = np.where(phase < p1, a1, a2)
+    if d == 0.0:
+        return out
+    # the three ramps overwrite the plateaus; they are disjoint when 2d < min(p1, p2)
+    r = phase < d
+    out[r] = a2 + (a1 - a2) * (phase[r] + d) / (2.0 * d)
+    r = (phase >= p1 - d) & (phase < p1 + d)
+    out[r] = a1 + (a2 - a1) * (phase[r] - (p1 - d)) / (2.0 * d)
+    r = phase >= T - d
+    out[r] = a2 + (a1 - a2) * (phase[r] - (T - d)) / (2.0 * d)
+    return out
+
+
+def _nonlinearity_array(smoothing: SmoothingSpec, x: np.ndarray) -> np.ndarray:
+    """model.nonlinearity_value at each element of x, bit for bit."""
+    d = smoothing.delta
+    if d == 0.0:
+        return np.where(x > 0.0, -1.0, np.where(x < 0.0, 1.0, 0.0))
+    if smoothing.profile is Profile.AFFINE:
+        return np.where(x >= d, -1.0, np.where(x <= -d, 1.0, -x / d))
+    ax = np.abs(x)
+    v = np.full_like(ax, -1.0)
+    inside = ~(ax >= d)
+    # math.exp as in nonlinearity_value: np.exp rounds some of these differently
+    v[inside] = [math.exp(z) - 1.0 for z in (d * ax[inside] / (ax[inside] - d)).tolist()]
+    return np.where(x < 0.0, -v, v)
 
 
 def _crossing_time(t0: float, t1: float, x0: float, d0: float, x1: float,
@@ -189,34 +254,14 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
             knots.append(s)
     knots.append(t_end)
 
-    levels = (0.0,) if sharp else (-delta, 0.0, delta)
-
-    times = [-1.0, 0.0, 0.0]
-    values = [h, h, h]
-    derivs = [0.0, 0.0, 0.0]
-
-    ptr = 0  # rolling index for delayed lookups; query times never decrease
-
-    def delayed(s: float) -> float:
-        nonlocal ptr
-        n = len(times)
-        while ptr + 2 < n and times[ptr + 1] <= s:
-            ptr += 1
-        t0, t1 = times[ptr], times[ptr + 1]
-        if t1 == t0:  # pragma: no cover - repeated knot, step past it
-            ptr += 1
-            t0, t1 = times[ptr], times[ptr + 1]
-        u = (s - t0) / (t1 - t0)
-        return _hermite(u, t1 - t0, values[ptr], derivs[ptr],
-                        values[ptr + 1], derivs[ptr + 1])
-
-    def rhs(s: float) -> float:
-        return (coefficient_value(params, s, smoothing)
-                * nonlinearity_value(smoothing, delayed(s - 1.0)))
+    levels = np.array((0.0,) if sharp else (-delta, 0.0, delta))
+    # a chunk's left derivative is the rhs just after its start, stored on a
+    # second copy of the knot; without delta only the history junction at 0
+    # has one
+    nudge = SIDE_NUDGE if sharp else 0.0
 
     def push_echo(tau: float) -> None:
-        # tau + 1 lies beyond the chunk being walked, which is at most one
-        # delay long, so the knot lands ahead of the walk
+        # tau >= t, so the knot lands beyond the pass being walked
         knot = tau + 1.0
         if knot >= t_end - BREAK_TOL:
             return
@@ -226,52 +271,90 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
                 return
         knots.insert(i, knot)
 
-    derivs[-1] = rhs(SIDE_NUDGE if sharp else 0.0)
-    t = 0.0
-    x = h
-    g_left = derivs[-1]
-    ki = 0
-    while t < t_end - BREAK_TOL:
-        nb = knots[ki]
-        ki += 1
-        span = nb - t
-        nsub = max(1, math.ceil(span / step - 1e-12))
-        sub = span / nsub
-        for jj in range(nsub):
-            t0 = t + jj * sub
-            t1 = nb if jj == nsub - 1 else t + (jj + 1) * sub
-            last = jj == nsub - 1
-            g_mid = rhs(t0 + 0.5 * sub)
-            if sharp and last:
-                g_right = rhs(t1 - SIDE_NUDGE)
-            else:
-                g_right = rhs(t1)
-            x_new = x + sub * (g_left + 4.0 * g_mid + g_right) / 6.0
-            if not math.isfinite(x_new):  # pragma: no cover - defensive
-                raise NonFiniteState(f"state became non-finite near t = {t1}")
-            for lev in levels:
-                tau = _crossing_time(t0, t1, x, g_left, x_new, g_right, lev)
-                if tau is not None:
-                    push_echo(tau)
-            times.append(t1)
-            values.append(x_new)
-            derivs.append(g_right)
-            x = x_new
-            g_left = g_right
-        if sharp and nb < t_end - BREAK_TOL:
-            # store the right-sided derivative on a second copy of the knot
-            g_left = rhs(nb + SIDE_NUDGE)
-            times.append(nb)
-            values.append(x)
-            derivs.append(g_left)
-        t = nb
+    # rows: times, values, derivs of the n samples stored so far; room for
+    # every step and knot copy, grown if echo knots outnumber the static ones
+    buf = np.empty((3, math.ceil(t_end / step) + 2 * len(knots) + 16))
+    buf[:, :2] = ((-1.0, 0.0), (h, h), (0.0, 0.0))
+    n = 2
+    t = 0.0  # last stored time
+    ki = 0  # the chunk ending at knots[ki] is the next to walk
+    j0 = 0  # steps of that chunk already taken
+    while ki < len(knots):
+        # one pass: the chunks ending at knots[ki:kj], step by step
+        kj = ki + 1
+        while kj < len(knots) and knots[kj] - 1.0 <= t:
+            kj += 1
+        ends = np.array(knots[ki:kj])
+        starts = np.array([knots[ki - 1] if ki else 0.0] + knots[ki:kj - 1])
+        nsub = np.maximum(1, np.ceil((ends - starts) / step - 1e-12)).astype(np.intp)
+        sub = (ends - starts) / nsub
+        todo = nsub.copy()
+        todo[0] -= j0
+        first = np.cumsum(todo) - todo  # index of each chunk's first step in the pass
+        c = np.repeat(np.arange(kj - ki), todo)
+        jj = np.arange(len(c)) - first[c]
+        jj[c == 0] += j0
+        t0 = starts[c] + jj * sub[c]
+        t1 = starts[c] + (jj + 1) * sub[c]
+        last = jj == nsub[c] - 1
+        t1[last] = ends[c[last]]
+        right = t1 - SIDE_NUDGE * last if sharp else t1
+        # the steps whose history is stored: all unless a chunk outlasts the delay
+        m = int(np.searchsorted(right - 1.0, t, side="right"))
+        c, t0, t1, right, sub_c = c[:m], t0[:m], t1[:m], right[:m], sub[c[:m]]
+        copied = np.full(kj - ki, sharp)
+        copied[0] = j0 == 0 and (sharp or n == 2)
+        # rhs at every midpoint, right end and knot copy of the pass
+        s = np.concatenate([t0 + 0.5 * sub_c, right, starts[copied] + nudge])
+        i, u, dt = _locate(buf[0, :n], s - 1.0)
+        # a state near the double range overflows here; NonFiniteState reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = (_coefficient_array(params, smoothing, s)
+                 * _nonlinearity_array(smoothing, _hermite_at(buf[1, :n], buf[2, :n], i, u, dt)))
+            g_mid, g_right, g_copy = g[:m], g[m:2 * m], g[2 * m:]
+            g_left = np.empty(m)
+            g_left[0] = buf[2, n - 1]
+            g_left[1:] = g_right[:-1]
+            g_left[first[copied]] = g_copy
+            xs = np.cumsum(np.concatenate(([buf[1, n - 1]],
+                                           sub_c * (g_left + 4.0 * g_mid + g_right) / 6.0)))
+        finite = np.isfinite(xs)
+        if not finite.all():
+            j = int(np.argmin(finite)) - 1
+            raise NonFiniteState(
+                f"state became non-finite near t = {float(t1[j])!r} (last finite "
+                f"x = {float(xs[j])!r} at t = {float(t0[j])!r}) at {params}, "
+                f"delta = {delta!r}")
+        # _crossing_time's test: x - level is zero after the step, or changes
+        # sign from nonzero before it
+        above = xs[:, None] > levels
+        on = xs[:, None] == levels
+        for j, k in zip(*np.nonzero(on[1:] | ((above[:-1] != above[1:]) & ~on[:-1]))):
+            tau = _crossing_time(float(t0[j]), float(t1[j]), float(xs[j]), float(g_left[j]),
+                                 float(xs[j + 1]), float(g_right[j]), float(levels[k]))
+            if tau is not None:
+                push_echo(tau)
+
+        copies = np.cumsum(copied)
+        size = n + m + int(copies[-1])
+        if size > buf.shape[1]:
+            buf = np.concatenate([buf[:, :n], np.empty((3, size - n + buf.shape[1] // 4))],
+                                 axis=1)
+        buf[:, n + np.arange(m) + copies[c]] = (t1, xs[1:], g_right)
+        buf[:, n + (first + copies - 1)[copied]] = (starts[copied], xs[first[copied]], g_copy)
+        n = size
+        t = float(t1[-1])
+        if m < len(jj):
+            j0 += m
+        else:
+            ki, j0 = kj, 0
 
     return DenseSolution(
         start_time=0.0,
         step=float(step),
-        times=np.asarray(times, dtype=float),
-        values=np.asarray(values, dtype=float),
-        derivs=np.asarray(derivs, dtype=float),
+        times=buf[0, :n],
+        values=buf[1, :n],
+        derivs=buf[2, :n],
         events=tuple(knots[:-1]),
     )
 

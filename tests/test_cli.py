@@ -75,6 +75,14 @@ def test_simulate_over_the_sample_cap_refused(work, capsys):
     assert "Traceback" not in captured.err
 
 
+def _run_cli(argv):
+    """The CLI in a subprocess, with its real stderr, under a timeout."""
+    src = str(Path(relaydde.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "relaydde.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--a1", "1", "--a2", "0.25", "--p1", "2.5", "--p2", "1.5",
      "--h", "-0.25", "--t-end", "1e300", "--delta", "0"],
@@ -86,10 +94,7 @@ def test_simulate_over_the_sample_cap_refused(work, capsys):
      "--h", "-0.25", "--deltas", "0.3,0.0125", "--t-end", "2000"],
 ], ids=["simulate-exact", "coexist", "scan", "smooth"])
 def test_over_the_cap_refused_at_once(argv):
-    src = str(Path(relaydde.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-m", "relaydde.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = _run_cli(argv)
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ")
@@ -276,3 +281,15 @@ def test_classify_non_finite_coefficients_rejected(point, fmt, capsys):
     assert captured.err.startswith("error: ")
     assert "not finite" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_non_finite_state_names_where_it_happened():
+    done = _run_cli(["simulate", "--a1", "1e308", "--a2", "1e308", "--p1", "1", "--p2", "1",
+                     "--h=-1e308", "--delta", "0.1", "--t-end", "3"])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: state became non-finite near t = 0.00625")
+    for name in ("last finite x = -1e+308 at t = 0.0", "a1=1e+308", "delta = 0.1"):
+        assert name in done.stderr
+    assert "Traceback" not in done.stderr
+    assert "RuntimeWarning" not in done.stderr

@@ -113,6 +113,27 @@ def _integrate_cases():
     cases["integrate-zero-history"] = (stable, SmoothingSpec(0.05), 0.0, 10.0, None)
     cases["integrate-explicit-step"] = (stable, SmoothingSpec(0.4), -0.25, 12.0,
                                         0.4 / 128.0)
+    # the shapes of the cli's simulate (delta 0.3, t 300) and smooth (0.2, 0.1)
+    cases["integrate-coarse-0.3-t300"] = (stable, SmoothingSpec(0.3), -0.25, 300.0, None)
+    for delta in (0.2, 0.1):
+        cases[f"integrate-coarse-{delta}"] = (stable, SmoothingSpec(delta), -0.25, 30.0, None)
+    cases["integrate-fine-0.003"] = (stable, SmoothingSpec(0.003), -0.25 + 0.75 * 0.003 / 4.0,
+                                     10.0, None)
+    cases["integrate-smoothexp-0.2"] = (double, SmoothingSpec(0.2, Profile.SMOOTHEXP),
+                                        -1.8, 26.0, None)
+    # p1 < 1: one delay unit holds several switch times, each stored twice
+    cases["integrate-sharp-short-plateau"] = ((3.0, 1.0, 0.3, 0.9), SmoothingSpec(0.0),
+                                              -0.5, 9.0, None)
+    cases["integrate-fractional-end"] = (stable, SmoothingSpec(0.05), -0.25, 7.3, None)
+    # the ramp edges p1 - delta and T + delta sit 4e-10 above the knots 2 and 4
+    cases["integrate-edge-near-lattice"] = ((1.0, 0.25, 2.25 + 4e-10, 1.5),
+                                            SmoothingSpec(0.25), -0.25, 12.0, None)
+    # a ramp edge (T + delta) or a switch time (p1) 4e-10 below an integer
+    # replaces that knot, so the chunk after it is longer than the delay
+    cases["integrate-edge-below-lattice"] = ((1.0, 0.25, 2.25 - 4e-10, 1.5),
+                                             SmoothingSpec(0.25), -0.25, 12.0, None)
+    cases["integrate-sharp-switch-below-lattice"] = ((1.0, 0.25, 2.0 - 4e-10, 3.0),
+                                                     SmoothingSpec(0.0), -0.25, 12.0, None)
     return cases
 
 

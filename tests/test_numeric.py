@@ -1,16 +1,24 @@
 """Tests for the fourth-order integrator and smoothing comparisons."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _halving import step_halving_estimate
+from _stepwise import stepwise_integrate
+from relaydde import model, numeric
 from relaydde.exact import ConstantHistory, propagate, zeros
-from relaydde.model import Params, Profile, SmoothingSpec
+from relaydde.model import (Params, Profile, SmoothingSpec, coefficient_value,
+                            nonlinearity_value)
 from relaydde.numeric import (
     DenseSolution,
     StepTooLarge,
+    _coefficient_array,
+    _nonlinearity_array,
     compare_exact_smoothed,
     corner_windows,
     integrate,
@@ -232,3 +240,101 @@ def test_corner_windows_merge_and_clip():
     for (lo0, hi0), (lo1, hi1) in zip(wins, wins[1:]):
         assert hi0 < lo1
     assert corner_windows(params, 0.0, [0.25], 5.0) == ()
+
+
+@st.composite
+def ramp_points(draw):
+    """(params, smoothing, times, states): times at and one ulp around every
+    ramp edge and switch time of a few periods, plus arbitrary ones; states
+    at, around and inside the nonlinearity's window [-delta, delta]."""
+    a1, a2 = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+    p1 = draw(st.floats(0.1, 5.0))
+    p2 = draw(st.floats(max(0.1, 1.0 - p1 + 1e-3), 5.0))
+    params = Params(a1, a2, p1, p2)
+    delta = draw(st.sampled_from((0.0, None)))
+    if delta is None:
+        delta = draw(st.floats(1e-4, min(0.999, 0.499 * min(p1, p2))))
+    smoothing = SmoothingSpec(delta, draw(st.sampled_from(tuple(Profile))))
+    T = params.period
+    edges = [k * T + s + off for k in range(-1, 4) for s in (0.0, p1)
+             for off in (-delta, 0.0, delta)]
+    edges += draw(st.lists(st.floats(-1.0, 40.0), max_size=20))
+    times = edges + [float(np.nextafter(e, side)) for e in edges for side in (-np.inf, np.inf)]
+    window = [delta, -delta, 0.0, -0.0, 0.5 * delta, 1e300, -1e300]
+    window += draw(st.lists(st.floats(-2.0 * delta - 1.0, 2.0 * delta + 1.0), max_size=20))
+    window += [delta * draw(st.floats(-1.0, 1.0)) for _ in range(10)]
+    states = window + [float(np.nextafter(x, side)) for x in window[:2]
+                       for side in (-np.inf, np.inf)]
+    return params, smoothing, times, states
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ramp_points())
+def test_property_array_rhs_matches_the_scalar_functions(case):
+    params, smoothing, times, states = case
+    want = np.array([coefficient_value(params, t, smoothing) for t in times])
+    got = _coefficient_array(params, smoothing, np.array(times))
+    assert got.tobytes() == want.tobytes()
+    want = np.array([nonlinearity_value(smoothing, x) for x in states])
+    got = _nonlinearity_array(smoothing, np.array(states))
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def integrate_runs(draw):
+    """(params, smoothing, h, t_end, step) of at most about 3,000 steps."""
+    a1, a2 = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+    p1 = draw(st.floats(0.1, 5.0))
+    p2 = draw(st.floats(max(0.1, 1.0 - p1 + 1e-3), 5.0))
+    widest = min(0.999, 0.499 * min(p1, p2))
+    delta = draw(st.sampled_from((0.0, widest, None)))
+    if delta is None:
+        delta = widest * draw(st.floats(0.05, 1.0))
+    smoothing = SmoothingSpec(delta, draw(st.sampled_from(tuple(Profile))))
+    step = run_step(Params(a1, a2, p1, p2), smoothing, 1.0)
+    step *= draw(st.sampled_from((1.0, 1.0, 0.5, 0.37)))
+    h = draw(st.sampled_from((0.0, -0.25, None)))
+    if h is None:
+        h = draw(st.floats(-5.0, 5.0))
+    t_end = min(draw(st.sampled_from((1.0, 2.0, 7.0, None))) or draw(st.floats(0.3, 12.0)),
+                3000.0 * step)
+    return Params(a1, a2, p1, p2), smoothing, h, t_end, step
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(integrate_runs())
+def test_property_integrate_matches_the_stepwise_reference(run):
+    sol = integrate(*run)
+    times, values, derivs, events, step = stepwise_integrate(*run)
+    assert sol.times.tobytes() == np.array(times).tobytes()
+    assert sol.values.tobytes() == np.array(values).tobytes()
+    assert sol.derivs.tobytes() == np.array(derivs).tobytes()
+    assert (sol.events, sol.step) == (events, step)
+
+
+def test_integrate_checks_the_geometry_once(monkeypatch):
+    callers = []
+    check = model.validate_geometry
+
+    def counted(params, smoothing):
+        callers.append(sys._getframe(1).f_code.co_name)
+        check(params, smoothing)
+
+    monkeypatch.setattr(model, "validate_geometry", counted)
+    monkeypatch.setattr(numeric, "validate_geometry", counted)
+    integrate(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.05), -0.25, 10.0)
+    assert callers == ["run_step"]
+
+
+def test_values_at_peak_memory():
+    sol = integrate(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.0125), -0.25, 30.0)
+    base = sol.times[sol.times >= 0.0]
+    ts = np.unique(np.concatenate([base, 0.5 * (base[:-1] + base[1:])]))
+    tracemalloc.start()
+    try:
+        sol.values_at(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 80 bytes a point; gathering all four Hermite operands before the sum took 105
+    assert peak < 90 * len(ts)
