@@ -15,8 +15,8 @@ Module map:
               the coefficient switch schedule and the work cap
     exact     event-driven exact propagation and piecewise-affine paths
     maps      return-map coefficients, fixed points, classify, basins
-    numeric   run checks (run_step) and one-step integrator for the smoothed
-              system, comparisons
+    numeric   run checks (run_step) and the method-of-steps integrator for the
+              smoothed system, comparisons
     tables    embedded benchmark dataset
     analysis  benchmark grading from classify, coexistence pairing, scans,
               convergence
@@ -47,7 +47,6 @@ from .exact import (
     ConstantHistory,
     DegenerateStall,
     PiecewisePath,
-    is_slowly_oscillating,
     path_sup_distance,
     propagate,
     zeros,
@@ -74,15 +73,12 @@ from .maps import (
     type2_two_cycle,
 )
 from .model import (
-    INV_E,
     Params,
     Profile,
     RelayDDEError,
     SmoothingSpec,
     coefficient_value,
-    nonlinearity_slope_at_zero,
     nonlinearity_value,
-    oscillation_condition,
     parse_config_text,
     validate_geometry,
 )
@@ -94,10 +90,9 @@ from .numeric import (
     corner_windows,
     integrate,
     one_period_multiplier,
-    parabola_coefficients,
     run_step,
 )
-from .tables import ROWS, TableRow, rows_for
+from .tables import ROWS, TableRow
 
 __all__ = [
     "BasinDescriptor",
@@ -111,7 +106,6 @@ __all__ = [
     "DegenerateStall",
     "DenseSolution",
     "HZero",
-    "INV_E",
     "MIsOne",
     "NoCycle",
     "NonFiniteState",
@@ -143,17 +137,12 @@ __all__ = [
     "format_table_report",
     "grade_row",
     "integrate",
-    "is_slowly_oscillating",
-    "nonlinearity_slope_at_zero",
     "nonlinearity_value",
     "one_period_multiplier",
-    "oscillation_condition",
-    "parabola_coefficients",
     "parse_config_text",
     "path_sup_distance",
     "propagate",
     "reproduce_tables",
-    "rows_for",
     "run_step",
     "scan",
     "smoothing_convergence",

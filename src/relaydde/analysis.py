@@ -226,10 +226,6 @@ class ScanCell:
     kinds: tuple[str, ...]
     boundary: bool
 
-    @property
-    def primary(self) -> str:
-        return self.kinds[0]
-
 
 @dataclass(frozen=True)
 class ScanReport:
@@ -249,46 +245,6 @@ class ScanReport:
             for kind in set(cell.kinds):
                 counts[kind] = counts.get(kind, 0) + 1
         return counts
-
-    def components(self, kind: str) -> tuple[tuple[int, ...], ...]:
-        """Connected sets of flat cell indices whose verdicts include kind.
-
-        Adjacency steps one grid point along a single axis.
-        """
-        shape = self.shape
-        member = [kind in cell.kinds for cell in self.cells]
-        strides = (shape[1] * shape[2] * shape[3], shape[2] * shape[3], shape[3], 1)
-
-        def unflatten(i: int) -> tuple[int, int, int, int]:
-            out = []
-            for s in strides:
-                out.append(i // s)
-                i %= s
-            return tuple(out)
-
-        seen = [False] * len(self.cells)
-        comps: list[tuple[int, ...]] = []
-        for start in range(len(self.cells)):
-            if seen[start] or not member[start]:
-                continue
-            comp = []
-            queue = [start]
-            seen[start] = True
-            while queue:
-                i = queue.pop()
-                comp.append(i)
-                idx = unflatten(i)
-                for axis in range(4):
-                    for d in (-1, 1):
-                        j = idx[axis] + d
-                        if not 0 <= j < shape[axis]:
-                            continue
-                        flat = i + d * strides[axis]
-                        if not seen[flat] and member[flat]:
-                            seen[flat] = True
-                            queue.append(flat)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
 
 
 def _axis(lo: float, hi: float, n: int) -> tuple[float, ...]:

@@ -85,7 +85,7 @@ class PiecewisePath:
     def value_at(self, t: float) -> float:
         """Evaluate the path at time t inside [start_time, end_time]."""
         t0, t1 = self.times[0], self.times[-1]
-        if t < t0 - TIME_TOL or t > t1 + TIME_TOL:
+        if not (t0 - TIME_TOL <= t <= t1 + TIME_TOL):  # NaN fails too
             raise ValueError(f"time {t!r} outside path range [{t0}, {t1}]")
         t = min(max(t, t0), t1)
         i = bisect_right(self.times, t) - 1
@@ -206,12 +206,6 @@ def zeros(path: PiecewisePath) -> list[float]:
         if not merged or zt - merged[-1] > TIME_TOL:
             merged.append(zt)
     return merged
-
-
-def is_slowly_oscillating(path: PiecewisePath) -> bool:
-    """True if consecutive zeros of the path are separated by more than 1."""
-    zs = zeros(path)
-    return all(b - a > 1.0 for a, b in zip(zs, zs[1:]))
 
 
 def path_sup_distance(

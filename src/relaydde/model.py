@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-INV_E = 1.0 / math.e
 # most events, integrator steps or scan cells one request may ask for;
 # 2,000,000 integrator samples take about 260 MB
 MAX_WORK = 2_000_000
@@ -165,29 +164,6 @@ def nonlinearity_value(smoothing: SmoothingSpec, x: float) -> float:
     else:
         v = math.exp(d * ax / (ax - d)) - 1.0
     return -v if x < 0.0 else v
-
-
-def nonlinearity_slope_at_zero(smoothing: SmoothingSpec) -> float:
-    """|f'(0)| for the chosen profile; infinity for the sharp relay."""
-    d = smoothing.delta
-    if d == 0.0:
-        return math.inf
-    if smoothing.profile is Profile.AFFINE:
-        return 1.0 / d
-    return 1.0
-
-
-def oscillation_condition(params: Params, smoothing: SmoothingSpec = SmoothingSpec()) -> bool:
-    """Sufficient slope condition for oscillation: |f'(0)| * min(a1, a2) > 1/e.
-
-    The sharp relay (delta == 0) always satisfies it.  This checks the slope
-    inequality only; it does not validate ramp geometry, so it can be asked
-    about any delta >= 0.
-    """
-    slope = nonlinearity_slope_at_zero(smoothing)
-    if math.isinf(slope):
-        return True
-    return slope * min(params.a1, params.a2) > INV_E
 
 
 def parse_config_text(text: str) -> dict[str, str]:

@@ -94,14 +94,12 @@ class DenseSolution:
         scalar = tq.ndim == 0
         tq = np.atleast_1d(tq)
         lo, hi = float(self.times[0]), float(self.times[-1])
-        if np.any(tq < lo - 1e-9) or np.any(tq > hi + 1e-9):
+        if not np.all((lo - 1e-9 <= tq) & (tq <= hi + 1e-9)):  # NaN fails too
             raise ValueError("query time outside the stored range")
-        tq = np.clip(tq, lo, hi)
+        if np.any(tq < lo) or np.any(tq > hi):
+            tq = np.clip(tq, lo, hi)
         out = _hermite_at(self.values, self.derivs, *_locate(self.times, tq))
         return float(out[0]) if scalar else out
-
-    def value_at(self, t: float) -> float:
-        return float(self.values_at(t))
 
 
 def _hermite(u, dt, x0, d0, x1, d1):  # floats or numpy arrays
@@ -357,21 +355,6 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
         derivs=buf[2, :n],
         events=tuple(knots[:-1]),
     )
-
-
-def parabola_coefficients(a1: float, a2: float, eps: float, x1: float) -> tuple[float, float, float]:
-    """Parabola bridging slopes a1 -> a2 over [p1-eps, p1+eps] through (p1, x1-ish).
-
-    P(t) = A (t-p1)^2 + B (t-p1) + C matches the piecewise affine solution
-    in both value and slope at the window edges: P(p1-eps) = x1 - a1 eps,
-    P'(p1-eps) = a1, P'(p1+eps) = a2, P(p1+eps) = x1 + a2 eps.
-    """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError("eps must be positive and finite")
-    A = (a2 - a1) / (4.0 * eps)
-    B = (a1 + a2) / 2.0
-    C = (a2 - a1) * eps / 4.0 + x1
-    return A, B, C
 
 
 def corner_windows(params: Params, delta: float, zero_times, t_end: float) -> tuple[tuple[float, float], ...]:

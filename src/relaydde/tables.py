@@ -190,10 +190,3 @@ ROWS: tuple[TableRow, ...] = (
              "FAIL:value",
              note="formula gives about -0.1473; the orbit from it validates"),
 )
-
-
-def rows_for(table_id: str) -> tuple[TableRow, ...]:
-    """All rows of one group, in benchmark order."""
-    if table_id not in KIND_BY_TABLE:
-        raise ValueError(f"unknown table id: {table_id!r}")
-    return tuple(r for r in ROWS if r.table_id == table_id)

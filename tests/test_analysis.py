@@ -179,19 +179,14 @@ def test_scan_stable_box():
     rep = scan((0.9, 1.1), (0.225, 0.275), (2.25, 2.75), (1.35, 1.65), 3)
     assert rep.shape == (3, 3, 3, 3)
     assert len(rep.cells) == 81
-    assert all(c.primary == "StableT" for c in rep.cells)
+    assert all(c.kinds[0] == "StableT" for c in rep.cells)
     assert rep.overlap_free
-    comps = rep.components("StableT")
-    assert len(comps) == 1
-    assert comps[0] == tuple(range(81))
 
 
 def test_scan_unstable_box():
     rep = scan((0.9, 1.1), (5.4, 6.6), (2.7, 3.3), (0.9, 1.1), 3)
-    assert all(c.primary == "UnstableT" for c in rep.cells)
+    assert all(c.kinds[0] == "UnstableT" for c in rep.cells)
     assert rep.overlap_free
-    assert len(rep.components("UnstableT")) == 1
-    assert rep.components("StableT") == ()
 
 
 def test_scan_axes_span_the_ranges():

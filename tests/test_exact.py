@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from relaydde.exact import (
     ConstantHistory,
     PiecewisePath,
-    is_slowly_oscillating,
     path_sup_distance,
     propagate,
     zeros,
@@ -79,7 +78,6 @@ def test_known_periodic_orbit_two_zero():
     assert len(zs) == 2
     assert abs(zs[0] - 0.25) < 1e-12
     assert abs(zs[1] - 2.25) < 1e-12
-    assert is_slowly_oscillating(path)
 
 
 def test_known_periodic_orbit_steep():
@@ -213,13 +211,6 @@ def test_zeros_interpolation_and_merge():
     assert np.allclose(zs, [0.5, 2.0], atol=1e-15)
 
 
-def test_slow_oscillation_predicate():
-    fast = PiecewisePath(0.0, (0.0, 1.0, 1.4, 1.8, 3.0), (-1.0, 0.0, 0.4, 0.0, -1.2))
-    assert not is_slowly_oscillating(fast)
-    flat = PiecewisePath(0.0, (0.0, 5.0), (1.0, 2.0))
-    assert is_slowly_oscillating(flat)
-
-
 def test_value_at_bounds():
     path = PiecewisePath(0.0, (0.0, 2.0), (0.0, 4.0))
     assert path.value_at(0.5) == 1.0
@@ -227,6 +218,12 @@ def test_value_at_bounds():
         path.value_at(-0.1)
     with pytest.raises(ValueError):
         path.value_at(2.1)
+
+
+def test_value_at_refuses_nan():
+    path = PiecewisePath(0.0, (0.0, 2.0), (0.0, 4.0))
+    with pytest.raises(ValueError, match="outside path range"):
+        path.value_at(float("nan"))
 
 
 def test_path_serialization_round_trip():

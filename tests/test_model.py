@@ -10,9 +10,7 @@ from relaydde.model import (
     Profile,
     SmoothingSpec,
     coefficient_value,
-    nonlinearity_slope_at_zero,
     nonlinearity_value,
-    oscillation_condition,
     parse_config_text,
     switch_times,
     validate_geometry,
@@ -157,24 +155,6 @@ def test_smoothexp_nonlinearity_shape():
     xs = np.linspace(-0.45, 0.45, 181)
     ys = np.array([nonlinearity_value(s, float(x)) for x in xs])
     assert np.all(np.diff(ys) <= 1e-15)
-
-
-def test_slope_at_zero():
-    assert math.isinf(nonlinearity_slope_at_zero(SmoothingSpec()))
-    assert nonlinearity_slope_at_zero(SmoothingSpec(delta=0.25)) == 4.0
-    assert nonlinearity_slope_at_zero(SmoothingSpec(delta=0.25, profile="smoothexp")) == 1.0
-
-
-def test_oscillation_condition():
-    p = Params(a1=1.0, a2=6.0, p1=3.0, p2=1.0)
-    assert oscillation_condition(p)
-    assert oscillation_condition(p, SmoothingSpec(delta=0.0))
-    # the slope test can be asked about any delta, even one too wide
-    # for the ramp geometry of these plateaus
-    assert oscillation_condition(p, SmoothingSpec(delta=1.0))
-    weak = Params(a1=0.3, a2=5.0, p1=3.0, p2=1.0)
-    assert not oscillation_condition(weak, SmoothingSpec(delta=1.0))
-    assert oscillation_condition(weak, SmoothingSpec(delta=0.5))  # slope 2: 0.6 > 1/e
 
 
 def test_parse_config_text():

@@ -23,7 +23,6 @@ from relaydde.numeric import (
     corner_windows,
     integrate,
     one_period_multiplier,
-    parabola_coefficients,
     run_step,
 )
 
@@ -31,30 +30,6 @@ from relaydde.numeric import (
 def _exact_on(params, h, ts, t_end):
     path = propagate(params, ConstantHistory(h), t_end)
     return np.interp(ts, path.times, path.values)
-
-
-def test_parabola_known_values():
-    A, B, C = parabola_coefficients(1.0, 6.0, 0.1, 2.0)
-    assert (A, B, C) == (12.5, 3.5, 2.125)
-    assert abs((A * 0.01 + B * 0.1 + C) - (2.0 + 6.0 * 0.1)) < 1e-15
-    A, B, C = parabola_coefficients(3.0, 3.0, 0.2, -1.0)
-    assert (A, B, C) == (0.0, 3.0, -1.0)
-    with pytest.raises(ValueError):
-        parabola_coefficients(1.0, 2.0, 0.0, 0.0)
-
-
-def test_parabola_endpoint_identities():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a1, a2 = rng.uniform(0.1, 8.0, size=2)
-        eps = rng.uniform(0.01, 0.5)
-        x1 = rng.uniform(-5.0, 5.0)
-        A, B, C = parabola_coefficients(a1, a2, eps, x1)
-        scale = max(1.0, abs(x1), a1 * eps, a2 * eps)
-        assert abs((A * eps * eps - B * eps + C) - (x1 - a1 * eps)) < 1e-12 * scale
-        assert abs((A * eps * eps + B * eps + C) - (x1 + a2 * eps)) < 1e-12 * scale
-        assert abs((B - 2.0 * A * eps) - a1) < 1e-12 * scale
-        assert abs((B + 2.0 * A * eps) - a2) < 1e-12 * scale
 
 
 def test_zero_solution_invariant():
@@ -138,7 +113,7 @@ def test_matched_start_reproduces_smoothed_periodic_orbit():
         ts = np.linspace(0.0, period, 801)
         res = np.max(np.abs(sol.values_at(ts + period) - sol.values_at(ts)))
         assert res < 1e-9
-        assert abs(sol.value_at(period) - h_d) < 1e-9
+        assert abs(sol.values_at(period) - h_d) < 1e-9
 
 
 def test_compare_exact_smoothed_matched_start():
@@ -174,7 +149,7 @@ def test_corner_endpoint_matches_exact_value():
     sol = integrate(params, SmoothingSpec(delta), h_d, 6.0)
     exact = propagate(params, ConstantHistory(-0.25), 6.0)
     edge = params.p1 + delta
-    assert abs(sol.value_at(edge) - exact.value_at(edge)) < 1e-6
+    assert abs(sol.values_at(edge) - exact.value_at(edge)) < 1e-6
 
 
 def test_odd_symmetry_of_integration():
@@ -218,9 +193,16 @@ def test_dense_solution_csv_and_lookup():
         sol.values_at(3.5)
     with pytest.raises(ValueError):
         sol.values_at(-1.5)
-    assert sol.value_at(-1.0) == -0.25
+    assert sol.values_at(-1.0) == -0.25
     with pytest.raises(ValueError):
         DenseSolution(0.0, 0.1, np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0]), ())
+
+
+def test_values_at_refuses_nan():
+    sol = integrate(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.0), -0.25, 3.0)
+    for ts in (float("nan"), [0.5, float("nan")]):
+        with pytest.raises(ValueError, match="outside the stored range"):
+            sol.values_at(ts)
 
 
 def test_smoothexp_profile_oscillates():
@@ -336,5 +318,6 @@ def test_values_at_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 80 bytes a point; gathering all four Hermite operands before the sum took 105
-    assert peak < 90 * len(ts)
+    # 72 bytes a point; clipping every query took 80, and gathering all four
+    # Hermite operands before the sum took 105
+    assert peak < 76 * len(ts)

@@ -17,7 +17,6 @@ from relaydde.tables import (
     ONE_ZERO_TABLES,
     ROWS,
     TWO_ZERO_TABLES,
-    rows_for,
 )
 
 BY_KEY = {(r.table_id, r.index): r for r in ROWS}
@@ -35,14 +34,12 @@ NO_ATTRACTOR_KEYS = {("T3", 8), ("T3", 10), ("T5", 4)}
 
 def test_row_counts_and_grouping():
     assert len(ROWS) == 53
-    sizes = {tid: len(rows_for(tid)) for tid in KIND_BY_TABLE}
+    sizes = {tid: sum(r.table_id == tid for r in ROWS) for tid in KIND_BY_TABLE}
     assert sizes == {"T1": 11, "T2": 13, "T3": 11, "T4": 9, "T5": 9}
     for tid in KIND_BY_TABLE:
-        rows = rows_for(tid)
+        rows = [r for r in ROWS if r.table_id == tid]
         assert [r.index for r in rows] == list(range(1, len(rows) + 1))
     assert set(TWO_ZERO_TABLES) | set(ONE_ZERO_TABLES) == set(KIND_BY_TABLE)
-    with pytest.raises(ValueError):
-        rows_for("T9")
 
 
 def test_families_and_kinds():
@@ -95,8 +92,8 @@ def test_group_inequalities():
 
 
 def test_t4_t5_duality():
-    t4 = rows_for("T4")
-    t5 = rows_for("T5")
+    t4 = [r for r in ROWS if r.table_id == "T4"]
+    t5 = [r for r in ROWS if r.table_id == "T5"]
     assert len(t4) == len(t5)
     for r4, r5 in zip(t4, t5):
         assert dual_params(r4.params) == r5.params
