@@ -85,7 +85,6 @@ from .model import (
 from .numeric import (
     DenseSolution,
     NonFiniteState,
-    StepTooLarge,
     compare_exact_smoothed,
     corner_windows,
     integrate,
@@ -123,7 +122,6 @@ __all__ = [
     "ScanCell",
     "ScanReport",
     "SmoothingSpec",
-    "StepTooLarge",
     "TableRow",
     "UNSTABLE_T",
     "apply_F",

@@ -124,6 +124,8 @@ def propagate(
     path covers [start_time, t_end].  The coefficient is tied to the global
     clock, so start_time selects a phase of the coefficient pattern.
     """
+    if not math.isfinite(start_time):
+        raise ValueError(f"start_time must be finite, got {start_time!r}")
     if not math.isfinite(t_end) or t_end <= start_time + TIME_TOL:
         raise ValueError("t_end must exceed start_time")
     span = t_end - start_time

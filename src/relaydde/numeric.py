@@ -1,4 +1,4 @@
-"""Fourth-order integration of the (optionally smoothed) relay equation.
+"""Fourth-order integration of the smoothed relay equation (delta > 0).
 
 Because the right-hand side a(t)*f(x(t-1)) does not involve the current
 state, the classical one-step scheme reduces to Simpson quadrature of the
@@ -9,7 +9,7 @@ per step. Delayed values come from cubic Hermite interpolation of stored
 Order is preserved by never letting a step straddle a kink of the rhs:
 
   * static knots at the coefficient ramp edges (the switch times k*T and
-    k*T + p1 from model.switch_times, shifted by +-delta when delta > 0)
+    k*T + p1 from model.switch_times, shifted by +-delta)
     and at the integer lattice, where the history junction echoes;
   * dynamic knots one delay after the solution crosses a level where the
     nonlinearity bends (-delta, 0, +delta), found by root-solving the
@@ -28,10 +28,8 @@ t + 1. (A chunk longer than the delay, left where an integer knot was
 merged into a ramp edge less than BREAK_TOL below it, is split at the last
 step whose history is stored.)
 
-With delta == 0 the rhs is piecewise constant between knots, Simpson
-integrates it exactly, and the scheme reproduces the event-driven
-construction to rounding; knots are then stored twice, carrying the
-one-sided derivatives of the kinked solution.
+The sharp model (delta == 0) is not integrated here: exact.propagate
+builds its solution event by event.
 """
 
 from __future__ import annotations
@@ -47,11 +45,6 @@ from .model import (MAX_WORK, Params, Profile, RelayDDEError, SmoothingSpec, swi
                     validate_geometry)
 
 BREAK_TOL = 1e-9
-SIDE_NUDGE = 1e-10
-
-
-class StepTooLarge(RelayDDEError):
-    """The requested step cannot resolve the smoothing windows."""
 
 
 class NonFiniteState(RelayDDEError):
@@ -64,10 +57,10 @@ class DenseSolution:
 
     The sample grid covers [start_time - 1, end] so delayed lookups never
     leave the stored history. Times are non-decreasing; a repeated time
-    carries the two one-sided derivatives at a kink of the solution
-    (always present at the history junction, and at every rhs jump when
-    delta == 0). The arrays are the whole result; the CLI writes them as
-    CSV rows t,x,dx or as JSON lists.
+    carries the two one-sided derivatives at a kink of the solution (the
+    history junction, where the flat history meets the rhs at 0). The
+    arrays are the whole result; the CLI writes them as CSV rows t,x,dx or
+    as JSON lists.
     """
 
     start_time: float
@@ -102,13 +95,6 @@ class DenseSolution:
         return float(out[0]) if scalar else out
 
 
-def _hermite(u, dt, x0, d0, x1, d1):  # floats or numpy arrays
-    u2 = u * u
-    u3 = u2 * u
-    return ((2.0 * u3 - 3.0 * u2 + 1.0) * x0 + (u3 - 2.0 * u2 + u) * dt * d0
-            + (-2.0 * u3 + 3.0 * u2) * x1 + (u3 - u2) * dt * d1)
-
-
 def _locate(times, tq):
     """Interval index i, offset u and width dt of each query in [times[0], times[-1]].
 
@@ -124,7 +110,11 @@ def _locate(times, tq):
 
 
 def _hermite_at(values, derivs, i, u, dt):
-    """_hermite on the located intervals, gathering each operand as its term is added."""
+    """The cubic Hermite interpolant at offset u of the intervals i of width dt.
+
+    Each operand is gathered as its term is added. Scalars work too, with
+    sequences for values and derivs.
+    """
     u2 = u * u
     u3 = u2 * u
     out = (2.0 * u3 - 3.0 * u2 + 1.0) * values[i]
@@ -143,8 +133,6 @@ def _coefficient_array(params: Params, smoothing: SmoothingSpec, t: np.ndarray) 
     phase[phase >= T] = 0.0
     a1, a2, p1, d = params.a1, params.a2, params.p1, smoothing.delta
     out = np.where(phase < p1, a1, a2)
-    if d == 0.0:
-        return out
     # the three ramps overwrite the plateaus; they are disjoint when 2d < min(p1, p2)
     r = phase < d
     out[r] = a2 + (a1 - a2) * (phase[r] + d) / (2.0 * d)
@@ -158,8 +146,6 @@ def _coefficient_array(params: Params, smoothing: SmoothingSpec, t: np.ndarray) 
 def _nonlinearity_array(smoothing: SmoothingSpec, x: np.ndarray) -> np.ndarray:
     """model.nonlinearity_value at each element of x, bit for bit."""
     d = smoothing.delta
-    if d == 0.0:
-        return np.where(x > 0.0, -1.0, np.where(x < 0.0, 1.0, 0.0))
     if smoothing.profile is Profile.AFFINE:
         return np.where(x >= d, -1.0, np.where(x <= -d, 1.0, -x / d))
     ax = np.abs(x)
@@ -184,7 +170,7 @@ def _crossing_time(t0: float, t1: float, x0: float, d0: float, x1: float,
     flo = f0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        fm = _hermite(mid, dt, x0, d0, x1, d1) - level
+        fm = _hermite_at((x0, x1), (d0, d1), 0, mid, dt) - level
         if fm == 0.0:
             return t0 + mid * dt
         if (fm > 0.0) == (flo > 0.0):
@@ -201,23 +187,25 @@ def run_step(params: Params, smoothing: SmoothingSpec, t_end: float,
              step: float | None = None) -> float:
     """The step integrate takes to t_end, after every check it makes on the run.
 
-    t_end must be positive and finite, the ramps must fit (validate_geometry),
-    and the step must not exceed delta/16 when delta > 0, nor 1e-3 when
-    delta == 0; omitted, it is min(delta/16, 1/64) (>= 16 nodes per ramp) or
-    1e-3. A run of more than MAX_WORK steps (t_end / step) is refused.
+    delta must be positive (the sharp model is exact.propagate's), t_end
+    positive and finite, the ramps must fit (validate_geometry), and the
+    step must not exceed delta/16; omitted, it is min(delta/16, 1/64)
+    (>= 16 nodes per ramp). A run of more than MAX_WORK steps (t_end / step)
+    is refused.
     """
+    delta = smoothing.delta
+    if delta == 0.0:
+        raise ValueError("integrate solves the smoothed model (delta > 0); "
+                         "exact.propagate solves the sharp model (delta == 0)")
     if not math.isfinite(t_end) or t_end <= 0.0:
         raise ValueError("t_end must be positive and finite")
     validate_geometry(params, smoothing)
-    delta = smoothing.delta
     if step is None:
-        step = min(delta / 16.0, 1.0 / 64.0) if delta > 0.0 else 1e-3
+        step = min(delta / 16.0, 1.0 / 64.0)
     if not math.isfinite(step) or step <= 0.0:
         raise ValueError("step must be positive and finite")
-    if delta > 0.0 and step > delta / 16.0 * (1.0 + 1e-12):
-        raise StepTooLarge(f"step {step} exceeds delta/16 = {delta / 16.0}")
-    if delta == 0.0 and step > 1e-3 * (1.0 + 1e-12):
-        raise StepTooLarge(f"step {step} exceeds the sharp-model cap 1e-3")
+    if step > delta / 16.0 * (1.0 + 1e-12):
+        raise ValueError(f"step {step} exceeds delta/16 = {delta / 16.0}")
     if t_end / step > MAX_WORK:
         raise ValueError(f"t_end {t_end} / step {step} asks for about "
                          f"{t_end / step:.3g} samples, above the cap {MAX_WORK:,}")
@@ -230,20 +218,18 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
 
     h may be any finite real, including 0 (the invariant zero solution).
     The run and the step are checked, and an omitted step chosen, by
-    run_step before anything is built.
+    run_step before anything is built; delta == 0 is refused there.
     """
     if not math.isfinite(h):
         raise ValueError("history value h must be finite")
     step = run_step(params, smoothing, t_end, step)
     delta = smoothing.delta
-    sharp = delta == 0.0
 
-    # the sorted knots: ramp edges (switch times when sharp), the integer
-    # lattice where the history junction echoes, and t_end, at least
-    # BREAK_TOL apart; the walk visits them by index, and dynamic echo knots
-    # are inserted ahead of it
-    offsets = (0.0,) if sharp else (-delta, delta)
-    edges = (s + off for s, _ in switch_times(params, 0.0, t_end + delta) for off in offsets)
+    # the sorted knots: ramp edges, the integer lattice where the history
+    # junction echoes, and t_end, at least BREAK_TOL apart; the walk visits
+    # them by index, and dynamic echo knots are inserted ahead of it
+    edges = (s + off for s, _ in switch_times(params, 0.0, t_end + delta)
+             for off in (-delta, delta))
     statics = [e for e in edges if BREAK_TOL < e < t_end - BREAK_TOL]
     statics += [float(j) for j in range(1, math.ceil(t_end - BREAK_TOL))]
     knots: list[float] = []
@@ -252,11 +238,7 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
             knots.append(s)
     knots.append(t_end)
 
-    levels = np.array((0.0,) if sharp else (-delta, 0.0, delta))
-    # a chunk's left derivative is the rhs just after its start, stored on a
-    # second copy of the knot; without delta only the history junction at 0
-    # has one
-    nudge = SIDE_NUDGE if sharp else 0.0
+    levels = np.array((-delta, 0.0, delta))
 
     def push_echo(tau: float) -> None:
         # tau >= t, so the knot lands beyond the pass being walked
@@ -269,11 +251,21 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
                 return
         knots.insert(i, knot)
 
+    def rhs(s: np.ndarray) -> np.ndarray:
+        # a(s) f(x(s - 1)), reading x from the n samples stored
+        i, u, dt = _locate(buf[0, :n], s - 1.0)
+        # a state near the double range overflows here; NonFiniteState reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (_coefficient_array(params, smoothing, s)
+                    * _nonlinearity_array(smoothing, _hermite_at(buf[1, :n], buf[2, :n], i, u, dt)))
+
     # rows: times, values, derivs of the n samples stored so far; room for
-    # every step and knot copy, grown if echo knots outnumber the static ones
-    buf = np.empty((3, math.ceil(t_end / step) + 2 * len(knots) + 16))
+    # every step, grown if echo knots outnumber the static ones
+    buf = np.empty((3, math.ceil(t_end / step) + len(knots) + 16))
     buf[:, :2] = ((-1.0, 0.0), (h, h), (0.0, 0.0))
     n = 2
+    buf[:, 2] = (0.0, h, rhs(np.zeros(1))[0])  # the history junction's second copy
+    n = 3
     t = 0.0  # last stored time
     ki = 0  # the chunk ending at knots[ki] is the next to walk
     j0 = 0  # steps of that chunk already taken
@@ -296,24 +288,16 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
         t1 = starts[c] + (jj + 1) * sub[c]
         last = jj == nsub[c] - 1
         t1[last] = ends[c[last]]
-        right = t1 - SIDE_NUDGE * last if sharp else t1
         # the steps whose history is stored: all unless a chunk outlasts the delay
-        m = int(np.searchsorted(right - 1.0, t, side="right"))
-        c, t0, t1, right, sub_c = c[:m], t0[:m], t1[:m], right[:m], sub[c[:m]]
-        copied = np.full(kj - ki, sharp)
-        copied[0] = j0 == 0 and (sharp or n == 2)
-        # rhs at every midpoint, right end and knot copy of the pass
-        s = np.concatenate([t0 + 0.5 * sub_c, right, starts[copied] + nudge])
-        i, u, dt = _locate(buf[0, :n], s - 1.0)
-        # a state near the double range overflows here; NonFiniteState reports it
+        m = int(np.searchsorted(t1 - 1.0, t, side="right"))
+        t0, t1, sub_c = t0[:m], t1[:m], sub[c[:m]]
+        # rhs at every midpoint and right end of the pass
+        g = rhs(np.concatenate([t0 + 0.5 * sub_c, t1]))
+        g_mid, g_right = g[:m], g[m:]
+        g_left = np.empty(m)
+        g_left[0] = buf[2, n - 1]
+        g_left[1:] = g_right[:-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            g = (_coefficient_array(params, smoothing, s)
-                 * _nonlinearity_array(smoothing, _hermite_at(buf[1, :n], buf[2, :n], i, u, dt)))
-            g_mid, g_right, g_copy = g[:m], g[m:2 * m], g[2 * m:]
-            g_left = np.empty(m)
-            g_left[0] = buf[2, n - 1]
-            g_left[1:] = g_right[:-1]
-            g_left[first[copied]] = g_copy
             xs = np.cumsum(np.concatenate(([buf[1, n - 1]],
                                            sub_c * (g_left + 4.0 * g_mid + g_right) / 6.0)))
         finite = np.isfinite(xs)
@@ -333,14 +317,10 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
             if tau is not None:
                 push_echo(tau)
 
-        copies = np.cumsum(copied)
-        size = n + m + int(copies[-1])
-        if size > buf.shape[1]:
-            buf = np.concatenate([buf[:, :n], np.empty((3, size - n + buf.shape[1] // 4))],
-                                 axis=1)
-        buf[:, n + np.arange(m) + copies[c]] = (t1, xs[1:], g_right)
-        buf[:, n + (first + copies - 1)[copied]] = (starts[copied], xs[first[copied]], g_copy)
-        n = size
+        if n + m > buf.shape[1]:
+            buf = np.concatenate([buf[:, :n], np.empty((3, m + buf.shape[1] // 4))], axis=1)
+        buf[:, n:n + m] = (t1, xs[1:], g_right)
+        n += m
         t = float(t1[-1])
         if m < len(jj):
             j0 += m

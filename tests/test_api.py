@@ -1,12 +1,17 @@
-"""The public surface: the names relaydde exports and the README quick start."""
+"""The public surface: the names relaydde exports, the README quick start and
+the README command lines."""
 
+import contextlib
+import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import relaydde
+from relaydde.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +32,18 @@ def test_readme_quick_start_runs():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "UnstableT" in proc.stdout
+
+
+def test_readme_command_lines_run(monkeypatch):
+    monkeypatch.delenv("RELAYDDE_OUTDIR", raising=False)
+    block = re.search(r"## Command line\n\n```\n(.*?)```", README.read_text(), re.S)
+    lines = block.group(1).splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "relaydde"
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv[1:])
+        # tables exits 3: the documented deviations are non-PASS rows
+        assert code == (3 if argv[1] == "tables" else 0), line
+        assert out.getvalue(), line

@@ -75,6 +75,12 @@ def test_simulate_over_the_sample_cap_refused(work, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_simulate_step_above_delta_over_16_is_invalid_input(capsys):
+    assert main(["simulate", "--a1", "1", "--a2", "0.25", "--p1", "2.5", "--p2", "1.5",
+                 "--h", "-0.25", "--t-end", "5", "--delta", "0.3", "--step", "0.1"]) == 2
+    assert capsys.readouterr() == ("", "error: step 0.1 exceeds delta/16 = 0.01875\n")
+
+
 def _run_cli(argv):
     """The CLI in a subprocess, with its real stderr, under a timeout."""
     src = str(Path(relaydde.__file__).resolve().parents[1])

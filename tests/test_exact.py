@@ -67,6 +67,13 @@ def test_propagate_rejects_bad_horizon():
     assert propagate(params, ConstantHistory(-0.25), 16_000.0).end_time == 16_000.0
 
 
+def test_propagate_rejects_non_finite_start_time():
+    params = Params(1.0, 0.25, 2.5, 1.5)
+    for start in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="start_time must be finite"):
+            propagate(params, ConstantHistory(-0.25), 5.0, start_time=start)
+
+
 def test_known_periodic_orbit_two_zero():
     # h = -0.25 is the fixed point of x(T) = m*h - b for these parameters;
     # first zero at -h/a1, second two delay units later, exact closure at T

@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaydde.exact import ConstantHistory, propagate
 from relaydde.maps import (
@@ -219,6 +220,30 @@ def test_dual_params_involution():
     assert (d.a1, d.a2, d.p1, d.p2) == (6.0, 1.0, 1.0, 3.0)
     assert dual_params(d) == p
     assert dual_params(Params(0.5, 7.0, 3.0, 2.0)) == Params(7.0, 0.5, 2.0, 3.0)
+
+
+@st.composite
+def dual_runs(draw):
+    """(params, h): levels in [0.1, 10], stretches in [0.1, 5], 1e-3 <= |h| <= 10."""
+    a1, a2, p1 = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 5.0))
+    p2 = draw(st.floats(max(0.1, 1.0 - p1 + 1e-3), 5.0))
+    h = draw(st.floats(1e-3, 10.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    return Params(a1, a2, p1, p2), h
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(dual_runs())
+def test_property_dual_shift_identity(run):
+    # from t = p1 on, the coefficient is the dual's from t = 0: a2 for p2, then a1 for p1
+    params, h = run
+    T = params.period
+    shifted = propagate(params, ConstantHistory(h), params.p1 + 2.0 * T, start_time=params.p1)
+    dual = propagate(dual_params(params), ConstantHistory(h), 2.0 * T)
+    shifted_times = np.array(shifted.times) - params.p1
+    ts = np.union1d(shifted_times, dual.times)
+    dev = np.abs(np.interp(ts, shifted_times, shifted.values)
+                 - np.interp(ts, dual.times, dual.values))
+    assert dev.max() <= 1e-9 * max(1.0, abs(h), max(params.a1, params.a2) * T)
 
 
 def test_classify_stable_T():

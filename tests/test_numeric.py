@@ -1,6 +1,5 @@
 """Tests for the fourth-order integrator and smoothing comparisons."""
 
-import math
 import sys
 import tracemalloc
 
@@ -11,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 from _halving import step_halving_estimate
 from _stepwise import stepwise_integrate
 from relaydde import model, numeric
-from relaydde.exact import ConstantHistory, propagate, zeros
+from relaydde.exact import ConstantHistory, propagate
 from relaydde.model import (Params, Profile, SmoothingSpec, coefficient_value,
                             nonlinearity_value)
 from relaydde.numeric import (
     DenseSolution,
-    StepTooLarge,
     _coefficient_array,
     _nonlinearity_array,
     compare_exact_smoothed,
@@ -27,28 +25,9 @@ from relaydde.numeric import (
 )
 
 
-def _exact_on(params, h, ts, t_end):
-    path = propagate(params, ConstantHistory(h), t_end)
-    return np.interp(ts, path.times, path.values)
-
-
 def test_zero_solution_invariant():
     sol = integrate(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.05), 0.0, 10.0)
     assert np.max(np.abs(sol.values)) <= 1e-12
-
-
-def test_sharp_scheme_matches_exact_propagation():
-    cases = [
-        (Params(1.0, 0.25, 2.5, 1.5), -0.25, 12.0),
-        (Params(6.0, 1.0, 1.0, 3.0), -1.8, 18.0),
-        (Params(1.0, 6.0, 3.0, 1.0), -0.8, 10.0),
-        (Params(4.0, 1.0, 3.5, 2.0), -2.0, 11.0),
-    ]
-    for params, h, t_end in cases:
-        sol = integrate(params, SmoothingSpec(0.0), h, t_end)
-        ts = np.linspace(0.0, t_end, 4001)
-        dev = np.max(np.abs(sol.values_at(ts) - _exact_on(params, h, ts, t_end)))
-        assert dev < 1e-10
 
 
 def test_grid_convergence_is_fourth_order():
@@ -66,10 +45,13 @@ def test_grid_convergence_is_fourth_order():
 
 def test_step_and_geometry_validation():
     params = Params(1.0, 0.25, 2.5, 1.5)
-    with pytest.raises(StepTooLarge):
+    with pytest.raises(ValueError, match="exceeds delta/16"):
         integrate(params, SmoothingSpec(0.05), -0.25, 5.0, 0.05 / 8.0)
-    with pytest.raises(StepTooLarge):
-        integrate(params, SmoothingSpec(0.0), -0.25, 5.0, 2e-3)
+    # the sharp model is exact.propagate's
+    with pytest.raises(ValueError, match="exact.propagate"):
+        integrate(params, SmoothingSpec(0.0), -0.25, 5.0)
+    with pytest.raises(ValueError, match="exact.propagate"):
+        run_step(params, SmoothingSpec(0.0), 5.0)
     with pytest.raises(ValueError):
         integrate(params, SmoothingSpec(0.05), -0.25, 0.0)
     with pytest.raises(ValueError):
@@ -82,11 +64,10 @@ def test_step_and_geometry_validation():
     with pytest.raises(ValueError, match="above the cap"):
         integrate(params, SmoothingSpec(0.3), -0.25, 1e300)
     # run_step makes the same checks without a solve and returns the step
-    assert run_step(params, SmoothingSpec(0.0), 5.0) == 1e-3
     assert run_step(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.32), 5.0) == 1.0 / 64.0
     assert run_step(params, SmoothingSpec(0.05), 5.0) == 0.05 / 16.0
     assert run_step(params, SmoothingSpec(0.05), 5.0, 1e-3) == 1e-3
-    with pytest.raises(StepTooLarge):
+    with pytest.raises(ValueError, match="exceeds delta/16"):
         run_step(params, SmoothingSpec(0.05), 5.0, 0.05 / 8.0)
     with pytest.raises(ValueError, match="overlap"):
         run_step(params, SmoothingSpec(0.8), 5.0)
@@ -131,15 +112,6 @@ def test_compare_exact_smoothed_matched_start():
         assert 0.0 <= lo < hi <= 30.0
 
 
-def test_compare_degenerate_delta_zero():
-    params = Params(1.0, 0.25, 2.5, 1.5)
-    sol = integrate(params, SmoothingSpec(0.0), -0.25, 10.0)
-    rep = compare_exact_smoothed(params, 0.0, -0.25, sol)
-    assert rep["corner_windows"] == ()
-    assert rep["max_dev_overall"] < 1e-10
-    assert rep["max_dev_outside_corners"] == rep["max_dev_overall"]
-
-
 def test_corner_endpoint_matches_exact_value():
     # outside the ramp the smoothed and exact periodic solutions coincide,
     # in particular right at the ramp edge p1 + delta
@@ -175,9 +147,10 @@ def test_smoothed_derivative_has_no_jumps():
     sol = integrate(params, SmoothingSpec(0.05), -0.25, 8.0, 0.05 / 64.0)
     inside = sol.times[:-1] > 1e-9
     assert np.max(np.abs(np.diff(sol.derivs))[inside]) <= 0.1 * sharp_jump
-    rough = integrate(params, SmoothingSpec(0.0), -0.25, 8.0)
-    inside = rough.times[:-1] > 1e-9
-    assert np.max(np.abs(np.diff(rough.derivs))[inside]) >= 0.9 * sharp_jump
+    # the sharp solution's slope a(t) f(x(t-1)) jumps by that much at a switch
+    rough = propagate(params, ConstantHistory(-0.25), 8.0)
+    slopes = np.diff(rough.values) / np.diff(rough.times)
+    assert np.max(np.abs(np.diff(slopes))) >= 0.9 * sharp_jump
 
 
 def test_multiplier_measurements():
@@ -188,7 +161,7 @@ def test_multiplier_measurements():
 
 
 def test_dense_solution_csv_and_lookup():
-    sol = integrate(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.0), -0.25, 3.0)
+    sol = integrate(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.05), -0.25, 3.0)
     with pytest.raises(ValueError):
         sol.values_at(3.5)
     with pytest.raises(ValueError):
@@ -199,7 +172,7 @@ def test_dense_solution_csv_and_lookup():
 
 
 def test_values_at_refuses_nan():
-    sol = integrate(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.0), -0.25, 3.0)
+    sol = integrate(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.05), -0.25, 3.0)
     for ts in (float("nan"), [0.5, float("nan")]):
         with pytest.raises(ValueError, match="outside the stored range"):
             sol.values_at(ts)
@@ -233,9 +206,7 @@ def ramp_points(draw):
     p1 = draw(st.floats(0.1, 5.0))
     p2 = draw(st.floats(max(0.1, 1.0 - p1 + 1e-3), 5.0))
     params = Params(a1, a2, p1, p2)
-    delta = draw(st.sampled_from((0.0, None)))
-    if delta is None:
-        delta = draw(st.floats(1e-4, min(0.999, 0.499 * min(p1, p2))))
+    delta = draw(st.floats(1e-4, min(0.999, 0.499 * min(p1, p2))))
     smoothing = SmoothingSpec(delta, draw(st.sampled_from(tuple(Profile))))
     T = params.period
     edges = [k * T + s + off for k in range(-1, 4) for s in (0.0, p1)
@@ -269,7 +240,7 @@ def integrate_runs(draw):
     p1 = draw(st.floats(0.1, 5.0))
     p2 = draw(st.floats(max(0.1, 1.0 - p1 + 1e-3), 5.0))
     widest = min(0.999, 0.499 * min(p1, p2))
-    delta = draw(st.sampled_from((0.0, widest, None)))
+    delta = draw(st.sampled_from((widest, None)))
     if delta is None:
         delta = widest * draw(st.floats(0.05, 1.0))
     smoothing = SmoothingSpec(delta, draw(st.sampled_from(tuple(Profile))))
