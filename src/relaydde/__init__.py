@@ -20,11 +20,12 @@ Module map:
     tables    embedded benchmark dataset
     analysis  benchmark grading from classify, coexistence pairing, scans,
               convergence
-    cli       command-line interface (relaydde <subcommand>)
+    cli       command-line interface (relaydde <subcommand>); the only module
+              that parses config text or turns results into JSON, CSV or reports
 
 classify is the one verdict pipeline: each closed-form candidate is
-validated by exact propagation before it is reported.  Result records are
-frozen dataclasses; dataclasses.asdict gives their JSON form.
+validated by exact propagation before it is reported.  The other modules
+return records (frozen dataclasses, named tuples, dicts), never text.
 """
 
 from .analysis import (
@@ -37,7 +38,6 @@ from .analysis import (
     ScanCell,
     ScanReport,
     coexistence_check,
-    format_table_report,
     grade_row,
     reproduce_tables,
     scan,
@@ -79,7 +79,6 @@ from .model import (
     SmoothingSpec,
     coefficient_value,
     nonlinearity_value,
-    parse_config_text,
     validate_geometry,
 )
 from .numeric import (
@@ -132,12 +131,10 @@ __all__ = [
     "compare_exact_smoothed",
     "corner_windows",
     "dual_params",
-    "format_table_report",
     "grade_row",
     "integrate",
     "nonlinearity_value",
     "one_period_multiplier",
-    "parse_config_text",
     "path_sup_distance",
     "propagate",
     "reproduce_tables",

@@ -16,8 +16,10 @@ Any flag can instead come from a flat 'key = value' file passed as
 --config (flag names with underscores, e.g. t_end); explicit flags win.
 A relative --output path is placed under $RELAYDDE_OUTDIR when that is
 set; the directory is created if needed.
-All CSV and JSON text is written here, by _csv_text and _json_text; CSV
-numbers use the shortest text that parses back to the same double.
+This module is the only one that turns results into text: it parses the
+config file, builds every payload and report, and writes all CSV and JSON
+text by _csv_text and _json_text; CSV numbers use the shortest text that
+parses back to the same double.
 """
 
 from __future__ import annotations
@@ -28,20 +30,20 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import asdict
 from pathlib import Path
 
 from .analysis import (
     coexistence_check,
-    format_table_report,
     reproduce_tables,
     scan as run_scan,
     smoothing_convergence,
 )
-from .exact import ConstantHistory, propagate
+from .exact import ConstantHistory, propagate, zeros
 from .maps import NotApplicable, basin, classify
-from .model import Params, Profile, RelayDDEError, SmoothingSpec, parse_config_text
+from .model import Params, Profile, RelayDDEError, SmoothingSpec
 from .numeric import integrate
 
 _Flags = dict[str, argparse.Action]
@@ -112,7 +114,15 @@ def _merge_config(args: argparse.Namespace, flags: _Flags) -> None:
     path = Path(args.config)
     if not path.is_file():
         raise ValueError(f"config file not found: {args.config}")
-    cfg = parse_config_text(path.read_text())
+    cfg: dict[str, str] = {}
+    for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()  # '#' starts a comment
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not (sep and key and value):
+            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw_line!r}")
+        cfg[key] = value
     for key, raw in cfg.items():
         action = flags.get(key)
         if action is None or key == "config" or getattr(args, key) is not None:
@@ -181,11 +191,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     delta = 0.0 if args.delta is None else args.delta
     fmt = args.format or "csv"
     if delta == 0.0:
+        for name in ("step", "profile"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} applies only with --delta > 0; "
+                                 f"--delta 0 runs the exact engine")
         path = propagate(params, ConstantHistory(h), t_end)
         if fmt == "csv":
             payload = _csv_text(["t", "x"], path.breakpoints)
         else:
-            payload = _json_text(path.to_jsonable())
+            ts, xs = path.times, path.values
+            payload = _json_text({
+                "start_time": path.start_time,
+                "breakpoints": [[t, x] for t, x in zip(ts, xs)],
+                "segments": [{"t0": t0, "t1": t1, "x0": x0, "x1": x1,
+                              "slope": (x1 - x0) / (t1 - t0)}
+                             for t0, t1, x0, x1 in zip(ts, ts[1:], xs, xs[1:])],
+                "zeros": zeros(path),
+            })
     else:
         profile = Profile(args.profile or "affine")
         spec = SmoothingSpec(delta=delta, profile=profile)
@@ -238,7 +260,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     results = reproduce_tables()
-    sys.stdout.write(format_table_report(results))
+    for res in results:  # the PASS/FAIL report, one line per row, on stdout
+        row, p = res.row, res.row.params
+        computed = "n/a" if res.computed_h is None else f"{res.computed_h:+.6f}"
+        print(f"{row.table_id} #{row.index:<2d} "
+              f"(a1={p.a1:.6g}, a2={p.a2:.6g}, p1={p.p1:.6g}, p2={p.p2:.6g})  "
+              f"h_ref={row.h_star_expected:+.6g}  h={computed}  "
+              f"period={res.computed_period:.6g}  {res.status}")
+    n_pass = sum(res.status == "PASS" for res in results)
+    print(f"{len(results)} rows: {n_pass} PASS, {len(results) - n_pass} FAIL")
     if args.output is not None:
         records = [{"table": r.row.table_id, "index": r.row.index,
                     **asdict(r.row.params),
@@ -264,10 +294,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     resolution = 3 if args.resolution is None else args.resolution
     ranges = tuple((c * (1.0 - span), c * (1.0 + span)) for c in centers)
     report = run_scan(*ranges, resolution)
+    # cells per kind in order of first appearance, so no run depends on PYTHONHASHSEED
+    counts = Counter(k for cell in report.cells for k in dict.fromkeys(cell.kinds))
     fmt = args.format or "json"
     if fmt == "json":
         jsonable = asdict(report)
-        jsonable["kind_counts"] = report.kind_counts()
+        jsonable["kind_counts"] = dict(counts)
         payload = _json_text(jsonable)
     else:
         payload = _csv_text(
@@ -276,8 +308,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
              for c in report.cells])
     _emit(payload, args)
     if args.output is not None:
-        counts = ", ".join(f"{k}={n}" for k, n in sorted(report.kind_counts().items()))
-        print(f"{len(report.cells)} cells, overlap_free={report.overlap_free}, {counts}")
+        listed = ", ".join(f"{k}={n}" for k, n in sorted(counts.items()))
+        print(f"{len(report.cells)} cells, overlap_free={report.overlap_free}, {listed}")
     return 0
 
 

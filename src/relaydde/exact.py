@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
 
 from .model import MAX_WORK, Params, RelayDDEError, coefficient_value, switch_times
 
@@ -93,22 +92,6 @@ class PiecewisePath:
         ta, tb = self.times[i], self.times[i + 1]
         va, vb = self.values[i], self.values[i + 1]
         return va + (vb - va) * (t - ta) / (tb - ta)
-
-    def segments(self) -> Iterator[tuple[float, float, float, float]]:
-        """Yield (t0, t1, x0, x1) for each affine piece."""
-        for i in range(len(self.times) - 1):
-            yield self.times[i], self.times[i + 1], self.values[i], self.values[i + 1]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "start_time": self.start_time,
-            "breakpoints": [[t, v] for t, v in zip(self.times, self.values)],
-            "segments": [
-                {"t0": t0, "t1": t1, "x0": x0, "x1": x1, "slope": (x1 - x0) / (t1 - t0)}
-                for t0, t1, x0, x1 in self.segments()
-            ],
-            "zeros": zeros(self),
-        }
 
 
 def propagate(

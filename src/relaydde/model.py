@@ -164,19 +164,3 @@ def nonlinearity_value(smoothing: SmoothingSpec, x: float) -> float:
     else:
         v = math.exp(d * ax / (ax - d)) - 1.0
     return -v if x < 0.0 else v
-
-
-def parse_config_text(text: str) -> dict[str, str]:
-    """Parse flat 'key = value' configuration text; '#' starts a comment."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not sep or not key or not value:
-            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        out[key] = value
-    return out

@@ -60,7 +60,7 @@ class DenseSolution:
     carries the two one-sided derivatives at a kink of the solution (the
     history junction, where the flat history meets the rhs at 0). The
     arrays are the whole result; the CLI writes them as CSV rows t,x,dx or
-    as JSON lists.
+    as JSON lists. smoothing is the half-width and profile that were solved.
     """
 
     start_time: float
@@ -69,6 +69,7 @@ class DenseSolution:
     values: np.ndarray
     derivs: np.ndarray
     events: tuple[float, ...]
+    smoothing: SmoothingSpec
 
     def __post_init__(self) -> None:
         n = len(self.times)
@@ -334,6 +335,7 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
         values=buf[1, :n],
         derivs=buf[2, :n],
         events=tuple(knots[:-1]),
+        smoothing=smoothing,
     )
 
 
@@ -365,12 +367,11 @@ def corner_windows(params: Params, delta: float, zero_times, t_end: float) -> tu
     return tuple((w[0], w[1]) for w in merged)
 
 
-def compare_exact_smoothed(params: Params, delta: float, h: float,
-                           sol: DenseSolution) -> dict:
+def compare_exact_smoothed(params: Params, h: float, sol: DenseSolution) -> dict:
     """Sup-norm deviation between the exact solution and a smoothed one.
 
-    sol is a smoothed solution at half-width delta that the caller
-    integrated, from h or from a shifted start; the exact solution starts
+    sol is a smoothed solution that the caller integrated, from h or from a
+    shifted start, at the half-width it records; the exact solution starts
     from the constant history h and runs to sol's end. Deviations are read
     at sol's samples from t = 0 on and at their midpoints, and reported
     overall and outside the corner windows, where the O(delta) corner
@@ -387,7 +388,7 @@ def compare_exact_smoothed(params: Params, delta: float, h: float,
     xe = np.interp(ts, exact_path.times, exact_path.values)
     dev = np.abs(sol.values_at(ts) - xe)
 
-    windows = corner_windows(params, delta, path_zeros(exact_path), t_end)
+    windows = corner_windows(params, sol.smoothing.delta, path_zeros(exact_path), t_end)
     outside = np.ones(len(ts), dtype=bool)
     for lo, hi in windows:
         outside &= ~((ts >= lo) & (ts <= hi))

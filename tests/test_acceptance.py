@@ -270,7 +270,7 @@ def test_criterion_6_smoothing_persistence():
             # shift at period marks is (a1 - a2) * delta / 4
             hs = h_star + (params.a1 - params.a2) * delta / 4.0
             sol = integrate(params, SmoothingSpec(delta), hs, t_end)
-            rep = compare_exact_smoothed(params, delta, h_star, sol)
+            rep = compare_exact_smoothed(params, h_star, sol)
             est = step_halving_estimate(params, SmoothingSpec(delta), hs, sol)
             assert rep["max_dev_outside_corners"] <= 10.0 * est
             if prev is not None:

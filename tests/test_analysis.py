@@ -11,7 +11,6 @@ from relaydde.analysis import (
     PairingFailed,
     RowResult,
     coexistence_check,
-    format_table_report,
     grade_row,
     reproduce_tables,
     scan,
@@ -112,17 +111,6 @@ def test_selected_rows():
                          if r.params == Params(1.5, 7.0, 4.0, 3.0)))
     assert res.status == "FAIL:shape"
     assert res.computed_h == pytest.approx(-4.3636, abs=5e-5)
-
-
-def test_format_table_report(table_results):
-    report = format_table_report(table_results)
-    lines = report.splitlines()
-    assert len(lines) == len(ROWS) + 1
-    assert lines[-1] == "53 rows: 34 PASS, 19 FAIL"
-    for res, line in zip(table_results, lines):
-        assert res.status in line
-        assert f"{res.row.table_id} #{res.row.index}" in line
-    assert report.endswith("\n")
 
 
 # --- coexistence pairing ----------------------------------------------------
@@ -317,7 +305,7 @@ def test_convergence_refuses_over_the_cap_before_any_solve(monkeypatch):
 def test_convergence_failure_detected(monkeypatch):
     calls = iter([1e-3, 5e-3, 9e-3])
 
-    def fake_compare(params, delta, h, sol):
+    def fake_compare(params, h, sol):
         dev = next(calls)
         return {"max_dev_overall": dev, "max_dev_outside_corners": dev / 2.0,
                 "corner_windows": ()}

@@ -4,7 +4,8 @@ Every test invokes main(argv) in-process and checks the exit code, the
 payload on stdout or in the declared output file, and that nothing else
 gets written.  The over-the-cap refusals run the CLI in a subprocess under
 a timeout, so a request that starts its work instead of refusing it fails
-the test rather than hanging the run.
+the test rather than hanging the run; the hash-seed check runs one
+subprocess per PYTHONHASHSEED, which is fixed when an interpreter starts.
 """
 
 import json
@@ -17,6 +18,8 @@ import pytest
 
 import relaydde
 from relaydde.cli import main
+from relaydde.exact import ConstantHistory, propagate, zeros
+from relaydde.model import Params
 from relaydde.tables import ROWS
 
 
@@ -81,10 +84,42 @@ def test_simulate_step_above_delta_over_16_is_invalid_input(capsys):
     assert capsys.readouterr() == ("", "error: step 0.1 exceeds delta/16 = 0.01875\n")
 
 
-def _run_cli(argv):
+def test_simulate_exact_json_payload(capsys):
+    params = Params(1.0, 0.25, 2.5, 1.5)
+    path = propagate(params, ConstantHistory(-0.25), 4.0)
+    assert main(["simulate", "--a1", "1", "--a2", "0.25", "--p1", "2.5", "--p2", "1.5",
+                 "--h", "-0.25", "--t-end", "4", "--delta", "0", "--format", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert list(blob) == ["start_time", "breakpoints", "segments", "zeros"]
+    assert [tuple(bp) for bp in blob["breakpoints"]] == list(path.breakpoints)
+    assert blob["start_time"] == 0.0
+    assert blob["breakpoints"][0] == [0.0, -0.25]
+    assert blob["zeros"] == zeros(path)
+    assert len(blob["segments"]) == len(path.times) - 1
+    first = blob["segments"][0]
+    assert first == {"t0": 0.0, "t1": path.times[1], "x0": -0.25, "x1": path.values[1],
+                     "slope": (path.values[1] + 0.25) / path.times[1]}
+
+
+@pytest.mark.parametrize("flag", [["--step", "0.01"], ["--profile", "smoothexp"]])
+def test_simulate_exact_refuses_smoothing_flags(flag, tmp_path, capsys):
+    point = ["--a1", "1", "--a2", "6", "--p1", "3", "--p2", "1", "--h", "-0.5",
+             "--t-end", "4", "--delta", "0"]
+    refused = ("", f"error: {flag[0]} applies only with --delta > 0; "
+                   "--delta 0 runs the exact engine\n")
+    assert main(["simulate", *point, *flag]) == 2
+    assert capsys.readouterr() == refused
+    # the same value from a config file is refused the same way
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[0][2:]} = {flag[1]}\n")
+    assert main(["simulate", *point, "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == refused
+
+
+def _run_cli(argv, **env_vars):
     """The CLI in a subprocess, with its real stderr, under a timeout."""
     src = str(Path(relaydde.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, **env_vars}
     return subprocess.run([sys.executable, "-m", "relaydde.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
 
@@ -145,6 +180,18 @@ def test_tables_exit_code_report_and_rows(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv"]
 
 
+def test_tables_report_has_one_line_per_row(table_results, capsys):
+    assert main(["tables"]) == 3
+    report = capsys.readouterr().out
+    lines = report.splitlines()
+    assert len(lines) == len(ROWS) + 1
+    assert lines[-1] == "53 rows: 34 PASS, 19 FAIL"
+    for res, line in zip(table_results, lines):
+        assert res.status in line
+        assert f"{res.row.table_id} #{res.row.index}" in line
+    assert report.endswith("\n")
+
+
 def test_tables_json_statuses_match_dataset(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["tables", "--output", "rows.json"]) == 3
@@ -169,6 +216,20 @@ def test_scan_output_respects_outdir_env(tmp_path, monkeypatch, capsys):
     summary = capsys.readouterr().out
     assert "16 cells" in summary
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifacts"]
+
+
+def test_scan_kind_counts_independent_of_hash_seed():
+    # cells here list Diverges2T and UnstableT; kind_counts must not follow
+    # the hash order of a set of kind names
+    argv = ["scan", "--a1", "1.1", "--a2", "6.6", "--p1", "3.3", "--p2", "1.1",
+            "--span", "0.1", "--resolution", "2"]
+    runs = [_run_cli(argv, PYTHONHASHSEED=seed) for seed in ("11", "13")]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    payload = json.loads(runs[0].stdout)
+    first_seen = list(dict.fromkeys(k for cell in payload["cells"] for k in cell["kinds"]))
+    assert list(payload["kind_counts"]) == first_seen
+    assert len(first_seen) > 1
 
 
 def test_scan_absolute_output_ignores_outdir(tmp_path, monkeypatch):
@@ -229,6 +290,24 @@ def test_config_supplies_flags_and_explicit_flags_win(tmp_path, monkeypatch, cap
         cfg.write_text(bad)
         assert main([command, "--config", "run.cfg"]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_config_text_format(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    # comment lines, inline comments and blank lines are skipped
+    cfg.write_text("\n# simulation setup\n  a1 = 1.0\na2 = 6.0   # fast level\n\n"
+                   "p1 = 3.0\np2 = 1.0\nformat = json\n")
+    assert main(["classify", "--config", str(cfg)]) == 0
+    via_config = capsys.readouterr().out
+    assert main(["classify", "--a1", "1", "--a2", "6", "--p1", "3", "--p2", "1"]) == 0
+    assert capsys.readouterr().out == via_config
+    for bad, message in (("a1 1.0\n", "error: config line 1: expected 'key = value', "
+                                      "got 'a1 1.0'\n"),
+                         ("# header\n= 3\n", "error: config line 2: expected 'key = value', "
+                                             "got '= 3'\n")):
+        cfg.write_text(bad)
+        assert main(["classify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", message)
 
 
 def test_exit_codes(capsys, tmp_path):

@@ -1,7 +1,6 @@
 """Tests for the event-driven exact propagation engine."""
 
 import bisect
-import json
 import math
 
 import numpy as np
@@ -158,7 +157,8 @@ def test_segment_slopes_match_coefficient():
         params = Params(a1, a2, p1, p2)
         h = -rng.uniform(0.2, 2.5)
         path = propagate(params, ConstantHistory(h), 3.0 * params.period)
-        for t0, t1, x0, x1 in path.segments():
+        ts, xs = path.times, path.values
+        for t0, t1, x0, x1 in zip(ts, ts[1:], xs, xs[1:]):
             slope = (x1 - x0) / (t1 - t0)
             a_mid = coefficient_value(params, (t0 + t1) / 2.0)
             assert abs(abs(slope) - a_mid) < 1e-9 * max(1.0, a_mid)
@@ -231,18 +231,6 @@ def test_value_at_refuses_nan():
     path = PiecewisePath(0.0, (0.0, 2.0), (0.0, 4.0))
     with pytest.raises(ValueError, match="outside path range"):
         path.value_at(float("nan"))
-
-
-def test_path_serialization_round_trip():
-    params = Params(1.0, 0.25, 2.5, 1.5)
-    path = propagate(params, ConstantHistory(-0.25), 4.0)
-    blob = json.loads(json.dumps(path.to_jsonable()))
-    assert [tuple(bp) for bp in blob["breakpoints"]] == list(path.breakpoints)
-    assert blob["start_time"] == 0.0
-    assert blob["breakpoints"][0] == [0.0, -0.25]
-    assert blob["zeros"] == zeros(path)
-    assert len(blob["segments"]) == len(path.times) - 1
-    assert path.breakpoints[0] == (0.0, -0.25)
 
 
 def test_path_sup_distance_exact():

@@ -11,7 +11,6 @@ from relaydde.model import (
     SmoothingSpec,
     coefficient_value,
     nonlinearity_value,
-    parse_config_text,
     switch_times,
     validate_geometry,
 )
@@ -155,20 +154,3 @@ def test_smoothexp_nonlinearity_shape():
     xs = np.linspace(-0.45, 0.45, 181)
     ys = np.array([nonlinearity_value(s, float(x)) for x in xs])
     assert np.all(np.diff(ys) <= 1e-15)
-
-
-def test_parse_config_text():
-    text = """
-    # simulation setup
-    a1 = 1.0
-    a2 = 6.0   # fast level
-    p1 = 3.0
-    p2 = 1.0
-    profile = affine
-    """
-    m = parse_config_text(text)
-    assert m == {"a1": "1.0", "a2": "6.0", "p1": "3.0", "p2": "1.0", "profile": "affine"}
-    with pytest.raises(ValueError, match="line 1"):
-        parse_config_text("a1 1.0")
-    with pytest.raises(ValueError):
-        parse_config_text("= 3")

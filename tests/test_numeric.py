@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from _halving import step_halving_estimate
 from _stepwise import stepwise_integrate
 from relaydde import model, numeric
-from relaydde.exact import ConstantHistory, propagate
+from relaydde.exact import ConstantHistory, propagate, zeros
 from relaydde.model import (Params, Profile, SmoothingSpec, coefficient_value,
                             nonlinearity_value)
 from relaydde.numeric import (
@@ -102,7 +102,7 @@ def test_compare_exact_smoothed_matched_start():
     delta = 0.025
     h_d = -0.25 + (params.a1 - params.a2) * delta / 4.0
     sol = integrate(params, SmoothingSpec(delta), h_d, 30.0)
-    rep = compare_exact_smoothed(params, delta, -0.25, sol)
+    rep = compare_exact_smoothed(params, -0.25, sol)
     est = step_halving_estimate(params, SmoothingSpec(delta), h_d, sol)
     assert rep["max_dev_outside_corners"] <= 10.0 * est
     assert delta / 8.0 <= rep["max_dev_overall"] <= 2.0 * delta
@@ -168,7 +168,19 @@ def test_dense_solution_csv_and_lookup():
         sol.values_at(-1.5)
     assert sol.values_at(-1.0) == -0.25
     with pytest.raises(ValueError):
-        DenseSolution(0.0, 0.1, np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0]), ())
+        DenseSolution(0.0, 0.1, np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0]), (),
+                      SmoothingSpec(0.05))
+
+
+def test_compare_reads_the_half_width_of_the_solution():
+    params = Params(1.0, 0.25, 2.5, 1.5)
+    spec = SmoothingSpec(0.05, Profile.SMOOTHEXP)
+    sol = integrate(params, spec, -0.25, 10.0)
+    assert sol.smoothing == spec
+    exact_zeros = zeros(propagate(params, ConstantHistory(-0.25), sol.end_time))
+    rep = compare_exact_smoothed(params, -0.25, sol)
+    assert rep["corner_windows"] == corner_windows(params, 0.05, exact_zeros, sol.end_time)
+    assert rep["corner_windows"]
 
 
 def test_values_at_refuses_nan():
