@@ -128,8 +128,11 @@ def coexistence_check(params: Params, *, horizon_periods: int = 30) -> Coexisten
     period-2T orbit at the dual parameters. Checks the shift identity (the
     dual solution, advanced by p1, solves the original system) to 1e-9 in
     sup norm, then confirms that exact solutions from h* +- 1e-3 settle on
-    the carried-over stable orbit within the horizon.
+    the carried-over stable orbit within the horizon, which must be at least
+    3 double periods.
     """
+    if horizon_periods < 3:
+        raise ValueError(f"horizon_periods must be at least 3, got {horizon_periods}")
     verdicts = classify(params)
     unstable = next((v for v in verdicts if v.kind == "UnstableT" and v.validated), None)
     if unstable is None:

@@ -12,14 +12,16 @@ Subcommands:
 Exit codes: 0 success, 1 computational failure, 2 invalid input, 3 benchmark
 regression (tables found at least one non-PASS row).
 
-Any flag can instead come from a flat 'key = value' file passed as
---config (flag names with underscores, e.g. t_end); explicit flags win.
+The argparse schema of _build_parser is the one place that knows a flag's
+type, choices, default (shown by --help) and whether it is required. A
+--config file of flat 'key = value' lines (keys spelled like the flag, with
+hyphens or underscores; a repeated key is refused) enters the command line
+as --flag=value tokens ahead of the explicit flags, which therefore win.
 A relative --output path is placed under $RELAYDDE_OUTDIR when that is
 set; the directory is created if needed.
-This module is the only one that turns results into text: it parses the
-config file, builds every payload and report, and writes all CSV and JSON
-text by _csv_text and _json_text; CSV numbers use the shortest text that
-parses back to the same double.
+This module is the only one that turns results into text: _emit writes
+every CSV and JSON payload; CSV numbers use the shortest text that parses
+back to the same double.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 import os
 import sys
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -52,8 +54,8 @@ _Flags = dict[str, argparse.Action]
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Flags]]:
     """The parser, and each command's flag actions keyed by dest.
 
-    The actions are the one flag schema: --config values are converted with
-    the type and checked against the choices declared here.
+    The actions are the one flag schema: a --config value is one more
+    --flag=value token, which argparse converts and checks like any other.
     """
     parser = argparse.ArgumentParser(
         prog="relaydde",
@@ -62,7 +64,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Flags]]:
     sub = parser.add_subparsers(dest="command", required=True)
     schema: dict[str, _Flags] = {}
 
-    def command(name, help_text, with_params=True):
+    def command(name, help_text, with_params=True, fmt="json"):
         sp = sub.add_parser(name, help=help_text)
         flags = schema[name] = {}
 
@@ -71,20 +73,25 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Flags]]:
             flags[action.dest] = action
 
         if with_params:
-            add("--a1", type=float, help="first coefficient level")
-            add("--a2", type=float, help="second coefficient level")
-            add("--p1", type=float, help="first stretch length")
-            add("--p2", type=float, help="second stretch length")
-        add("--config", help="flat key = value file supplying flag defaults")
-        add("--format", choices=("csv", "json"), help="output payload format")
+            add("--a1", type=float, required=True, help="first coefficient level")
+            add("--a2", type=float, required=True, help="second coefficient level")
+            add("--p1", type=float, required=True, help="first stretch length")
+            add("--p2", type=float, required=True, help="second stretch length")
+        # not in flags: a config file cannot name another one
+        sp.add_argument("--config", help="flat key = value file supplying flag values")
+        add("--format", choices=("csv", "json"), default=fmt,
+            help="output payload format (default %(default)s)")
         add("--output", help="write the payload here instead of stdout")
         return add
 
-    add = command("simulate", "integrate one solution and emit it")
-    add("--h", type=float, help="constant history value")
-    add("--t-end", dest="t_end", type=float, help="integration horizon")
-    add("--delta", type=float,
-        help="smoothing half-width; 0 runs the exact engine (default 0)")
+    add = command("simulate", "integrate one solution and emit it", fmt="csv")
+    add("--h", type=float, required=True,
+        help="constant history value; 0 gives the zero solution when delta > 0, "
+             "while the exact engine (delta 0) refuses it")
+    add("--t-end", dest="t_end", type=float, required=True, help="integration horizon")
+    add("--delta", type=float, default=0.0,
+        help="smoothing half-width; 0 runs the exact engine (default %(default)s)")
+    # --profile and --step default to None, so that delta 0 can refuse them
     add("--profile", choices=tuple(p.value for p in Profile),
         help="smoothed nonlinearity shape (default affine)")
     add("--step", type=float, help="integrator step for delta > 0")
@@ -94,27 +101,32 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Flags]]:
     command("tables", "grade the embedded benchmark rows", with_params=False)
 
     add = command("scan", "classify a grid around a center point")
-    add("--span", type=float, help="relative half-width of the box (default 0.1)")
-    add("--resolution", type=int, help="grid points per axis (default 3)")
+    add("--span", type=float, default=0.1,
+        help="relative half-width of the box (default %(default)s)")
+    add("--resolution", type=int, default=3, help="grid points per axis (default %(default)s)")
 
     add = command("smooth", "smoothing convergence study")
-    add("--h", type=float, help="constant history value")
-    add("--t-end", dest="t_end", type=float, help="study horizon (default 30)")
-    add("--deltas", help="comma-separated decreasing half-widths")
+    add("--h", type=float, required=True, help="constant history value")
+    add("--t-end", dest="t_end", type=float, default=30.0,
+        help="study horizon (default %(default)s)")
+    add("--deltas", default="0.05,0.025,0.0125",
+        help="comma-separated decreasing half-widths (default %(default)s)")
 
     add = command("coexist", "verify the coexistence pairing via the dual")
-    add("--horizon", type=int, help="double periods to wait for attraction (default 30)")
+    add("--horizon", type=int, default=30,
+        help="double periods to wait for attraction (default %(default)s)")
 
     return parser, schema
 
 
-def _merge_config(args: argparse.Namespace, flags: _Flags) -> None:
-    if args.config is None:
-        return
-    path = Path(args.config)
+def _config_tokens(config: str, flags: _Flags) -> list[str]:
+    """The config file's values as --flag=value tokens for these flags; keys
+    that are no flag of the command are ignored."""
+    path = Path(config)
     if not path.is_file():
-        raise ValueError(f"config file not found: {args.config}")
-    cfg: dict[str, str] = {}
+        raise ValueError(f"config file not found: {config}")
+    tokens = []
+    lines: dict[str, int] = {}  # dest -> the line that set it
     for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()  # '#' starts a comment
         if not line:
@@ -122,31 +134,18 @@ def _merge_config(args: argparse.Namespace, flags: _Flags) -> None:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not (sep and key and value):
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw_line!r}")
-        cfg[key] = value
-    for key, raw in cfg.items():
-        action = flags.get(key)
-        if action is None or key == "config" or getattr(args, key) is not None:
-            continue  # not a flag of this command, or an explicit flag wins
-        try:
-            value = raw if action.type is None else action.type(raw)
-        except ValueError:
-            raise ValueError(f"config value for {key!r} is not valid: {raw!r}") from None
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"unknown {key} {value!r}, expected one of "
-                             f"{', '.join(action.choices)}")
-        setattr(args, key, value)
-
-
-def _require(args: argparse.Namespace, name: str):
-    value = getattr(args, name)
-    if value is None:
-        raise ValueError(f"--{name.replace('_', '-')} is required for this command")
-    return value
+        dest = key.replace("-", "_")
+        if dest in lines:
+            raise ValueError(f"config line {lineno}: {key!r} was already set on line "
+                             f"{lines[dest]}")
+        lines[dest] = lineno
+        if dest in flags:
+            tokens.append(f"{flags[dest].option_strings[0]}={value}")
+    return tokens
 
 
 def _params(args: argparse.Namespace) -> Params:
-    return Params(_require(args, "a1"), _require(args, "a2"),
-                  _require(args, "p1"), _require(args, "p2"))
+    return Params(args.a1, args.a2, args.p1, args.p2)
 
 
 def _resolve_output(path_str: str) -> Path:
@@ -161,70 +160,56 @@ def _resolve_output(path_str: str) -> Path:
     return path
 
 
-def _emit(payload: str, args: argparse.Namespace) -> None:
-    if args.output is None:
-        sys.stdout.write(payload)
+def _emit(args: argparse.Namespace, record: Callable[[], object], header: list[str],
+          rows: Iterable[Iterable], summary: str | None = None) -> None:
+    """Write record() as JSON, or header and rows as CSV (None empty, a float
+    by repr: cells must be Python floats, not numpy scalars), to stdout, or to
+    --output and then the summary line, if any, to stdout."""
+    if args.format == "json":
+        text = json.dumps(record(), indent=2, allow_nan=False) + "\n"
     else:
-        _resolve_output(args.output).write_text(payload)
-
-
-def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
-    """Header and rows as CSV: None is written empty and a float by repr.
-
-    Cells must be Python floats, not numpy scalars, whose repr names the type.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    if args.output is None:
+        sys.stdout.write(text)
+        return
+    _resolve_output(args.output).write_text(text)
+    if summary is not None:
+        print(summary)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _params(args)
-    h = _require(args, "h")
-    t_end = _require(args, "t_end")
-    delta = 0.0 if args.delta is None else args.delta
-    fmt = args.format or "csv"
-    if delta == 0.0:
+    if args.delta == 0.0:
         for name in ("step", "profile"):
             if getattr(args, name) is not None:
                 raise ValueError(f"--{name} applies only with --delta > 0; "
                                  f"--delta 0 runs the exact engine")
-        path = propagate(params, ConstantHistory(h), t_end)
-        if fmt == "csv":
-            payload = _csv_text(["t", "x"], path.breakpoints)
-        else:
-            ts, xs = path.times, path.values
-            payload = _json_text({
-                "start_time": path.start_time,
-                "breakpoints": [[t, x] for t, x in zip(ts, xs)],
-                "segments": [{"t0": t0, "t1": t1, "x0": x0, "x1": x1,
-                              "slope": (x1 - x0) / (t1 - t0)}
-                             for t0, t1, x0, x1 in zip(ts, ts[1:], xs, xs[1:])],
-                "zeros": zeros(path),
-            })
+        path = propagate(params, ConstantHistory(args.h), args.t_end)
+        ts, xs = path.times, path.values
+        _emit(args, lambda: {
+            "start_time": path.start_time,
+            "breakpoints": [[t, x] for t, x in zip(ts, xs)],
+            "segments": [{"t0": t0, "t1": t1, "x0": x0, "x1": x1,
+                          "slope": (x1 - x0) / (t1 - t0)}
+                         for t0, t1, x0, x1 in zip(ts, ts[1:], xs, xs[1:])],
+            "zeros": zeros(path),
+        }, ["t", "x"], path.breakpoints)
     else:
-        profile = Profile(args.profile or "affine")
-        spec = SmoothingSpec(delta=delta, profile=profile)
-        sol = integrate(params, spec, h, t_end, step=args.step)
+        spec = SmoothingSpec(delta=args.delta, profile=Profile(args.profile or "affine"))
+        sol = integrate(params, spec, args.h, args.t_end, step=args.step)
         times, values, derivs = sol.times.tolist(), sol.values.tolist(), sol.derivs.tolist()
-        if fmt == "csv":
-            payload = _csv_text(["t", "x", "dx"], zip(times, values, derivs))
-        else:
-            payload = _json_text({
-                "start_time": sol.start_time,
-                "step": sol.step,
-                "times": times,
-                "values": values,
-                "derivs": derivs,
-                "events": sol.events,
-            })
-    _emit(payload, args)
+        _emit(args, lambda: {
+            "start_time": sol.start_time,
+            "step": sol.step,
+            "times": times,
+            "values": values,
+            "derivs": derivs,
+            "events": sol.events,
+        }, ["t", "x", "dx"], zip(times, values, derivs))
     return 0
 
 
@@ -235,26 +220,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         basin_jsonable = asdict(basin(params))
     except NotApplicable:
         basin_jsonable = None
-    fmt = args.format or "json"
-    if fmt == "json":
-        payload = _json_text({
-            "params": asdict(params),
-            "verdicts": [asdict(v) for v in verdicts],
-            "basin": basin_jsonable,
-        })
-    else:
-        rows = []
-        for v in verdicts:
-            if isinstance(v.h_star, tuple):
-                h_low, h_high = v.h_star
-            else:
-                h_low, h_high = v.h_star, None
-            rows.append([v.kind, h_low, h_high, v.period, v.m, v.b, v.k, v.d,
-                         v.validated, v.boundary, v.reason])
-        payload = _csv_text(
-            ["kind", "h_star_low", "h_star_high", "period", "m", "b", "k", "d",
-             "validated", "boundary", "reason"], rows)
-    _emit(payload, args)
+    rows = []
+    for v in verdicts:
+        h_low, h_high = v.h_star if isinstance(v.h_star, tuple) else (v.h_star, None)
+        rows.append([v.kind, h_low, h_high, v.period, v.m, v.b, v.k, v.d,
+                     v.validated, v.boundary, v.reason])
+    _emit(args, lambda: {
+        "params": asdict(params),
+        "verdicts": [asdict(v) for v in verdicts],
+        "basin": basin_jsonable,
+    }, ["kind", "h_star_low", "h_star_high", "period", "m", "b", "k", "d",
+        "validated", "boundary", "reason"], rows)
     return 0
 
 
@@ -277,88 +253,52 @@ def _cmd_tables(args: argparse.Namespace) -> int:
                     "period": r.computed_period,
                     "status": r.status}
                    for r in results]
-        if (args.format or "json") == "json":
-            payload = _json_text(records)
-        else:
-            payload = _csv_text(list(records[0]), [rec.values() for rec in records])
-        _emit(payload, args)
+        _emit(args, lambda: records, list(records[0]), (rec.values() for rec in records))
     return 0 if all(r.status == "PASS" for r in results) else 3
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    centers = (_require(args, "a1"), _require(args, "a2"),
-               _require(args, "p1"), _require(args, "p2"))
-    span = 0.1 if args.span is None else args.span
+    span = args.span
     if not 0.0 < span < 1.0:
         raise ValueError(f"--span must lie strictly between 0 and 1, got {span}")
-    resolution = 3 if args.resolution is None else args.resolution
+    centers = (args.a1, args.a2, args.p1, args.p2)
     ranges = tuple((c * (1.0 - span), c * (1.0 + span)) for c in centers)
-    report = run_scan(*ranges, resolution)
+    report = run_scan(*ranges, args.resolution)
     # cells per kind in order of first appearance, so no run depends on PYTHONHASHSEED
     counts = Counter(k for cell in report.cells for k in dict.fromkeys(cell.kinds))
-    fmt = args.format or "json"
-    if fmt == "json":
-        jsonable = asdict(report)
-        jsonable["kind_counts"] = dict(counts)
-        payload = _json_text(jsonable)
-    else:
-        payload = _csv_text(
-            ["a1", "a2", "p1", "p2", "kinds", "boundary"],
-            [[c.a1, c.a2, c.p1, c.p2, ";".join(c.kinds), c.boundary]
-             for c in report.cells])
-    _emit(payload, args)
-    if args.output is not None:
-        listed = ", ".join(f"{k}={n}" for k, n in sorted(counts.items()))
-        print(f"{len(report.cells)} cells, overlap_free={report.overlap_free}, {listed}")
+    listed = ", ".join(f"{k}={n}" for k, n in sorted(counts.items()))
+    _emit(args, lambda: {**asdict(report), "kind_counts": dict(counts)},
+          ["a1", "a2", "p1", "p2", "kinds", "boundary"],
+          ([c.a1, c.a2, c.p1, c.p2, ";".join(c.kinds), c.boundary] for c in report.cells),
+          f"{len(report.cells)} cells, overlap_free={report.overlap_free}, {listed}")
     return 0
 
 
 def _cmd_smooth(args: argparse.Namespace) -> int:
     params = _params(args)
-    h = _require(args, "h")
-    t_end = 30.0 if args.t_end is None else args.t_end
-    raw = args.deltas or "0.05,0.025,0.0125"
     try:
-        deltas = tuple(float(tok) for tok in raw.split(","))
+        deltas = tuple(float(tok) for tok in args.deltas.split(","))
     except ValueError:
-        raise ValueError(f"--deltas must be comma-separated numbers, got {raw!r}") from None
-    table = smoothing_convergence(params, h, deltas, t_end)
-    fmt = args.format or "json"
-    if fmt == "json":
-        payload = _json_text(asdict(table))
-    else:
-        payload = _csv_text(
-            ["delta", "max_dev_overall", "residual"],
-            [[r.delta, r.max_dev_overall, r.residual] for r in table.rows])
-    _emit(payload, args)
-    if args.output is not None:
-        print(f"{len(table.rows)} half-widths, fitted_c={table.fitted_c!r}")
+        raise ValueError(f"--deltas must be comma-separated numbers, "
+                         f"got {args.deltas!r}") from None
+    table = smoothing_convergence(params, args.h, deltas, args.t_end)
+    _emit(args, lambda: asdict(table), ["delta", "max_dev_overall", "residual"],
+          ([r.delta, r.max_dev_overall, r.residual] for r in table.rows),
+          f"{len(table.rows)} half-widths, fitted_c={table.fitted_c!r}")
     return 0
 
 
 def _cmd_coexist(args: argparse.Namespace) -> int:
-    params = _params(args)
-    horizon = 30 if args.horizon is None else args.horizon
-    if horizon < 3:
-        raise ValueError(f"--horizon must be at least 3, got {horizon}")
-    report = coexistence_check(params, horizon_periods=horizon)
-    fmt = args.format or "json"
-    if fmt == "json":
-        payload = _json_text(asdict(report))
-    else:
-        payload = _csv_text(
-            ["h_unstable", "h_stable_low", "h_stable_high", "shift_sup_distance",
-             "convergence_plus", "convergence_minus", "residual_plus",
-             "residual_minus", "tail_plus", "tail_minus"],
-            [[report.h_unstable, report.h_stable[0], report.h_stable[1],
-              report.shift_sup_distance,
-              report.convergence_periods[0], report.convergence_periods[1],
-              report.return_map_residuals[0], report.return_map_residuals[1],
-              report.tail_distances[0], report.tail_distances[1]]])
-    _emit(payload, args)
-    if args.output is not None:
-        print(f"coexistence verified: h_unstable={report.h_unstable!r}, "
-              f"h_stable=({report.h_stable[0]!r}, {report.h_stable[1]!r})")
+    report = coexistence_check(_params(args), horizon_periods=args.horizon)
+    _emit(args, lambda: asdict(report),
+          ["h_unstable", "h_stable_low", "h_stable_high", "shift_sup_distance",
+           "convergence_plus", "convergence_minus", "residual_plus",
+           "residual_minus", "tail_plus", "tail_minus"],
+          [[report.h_unstable, *report.h_stable, report.shift_sup_distance,
+            *report.convergence_periods, *report.return_map_residuals,
+            *report.tail_distances]],
+          f"coexistence verified: h_unstable={report.h_unstable!r}, "
+          f"h_stable={report.h_stable!r}")
     return 0
 
 
@@ -373,21 +313,23 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, schema = _build_parser()
+    pre = argparse.ArgumentParser(prog="relaydde", add_help=False)
+    pre.add_argument("--config", nargs="?")  # parser reports a missing value
     try:
+        config = pre.parse_known_args(argv)[0].config
+        if config is not None and argv[0] in schema:
+            # after the command name, so the explicit flags that follow win
+            argv[1:1] = _config_tokens(config, schema[argv[0]])
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        _merge_config(args, schema[args.command])
         return _DISPATCH[args.command](args)
+    except SystemExit as exc:  # argparse: --help, or a bad flag or value
+        return 0 if exc.code in (0, None) else 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RelayDDEError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RelayDDEError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

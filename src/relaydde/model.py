@@ -100,8 +100,6 @@ def validate_geometry(params: Params, smoothing: SmoothingSpec) -> None:
     delay (delta < 1).  A zero delta always passes.
     """
     d = smoothing.delta
-    if d == 0.0:
-        return
     if d >= 1.0:
         raise ValueError("smoothing half-width delta must be below the delay 1")
     if 2.0 * d >= min(params.p1, params.p2):

@@ -345,8 +345,6 @@ def corner_windows(params: Params, delta: float, zero_times, t_end: float) -> tu
     One window around every coefficient switch time and one around each
     zero time plus the delay, clipped to [0, t_end].
     """
-    if delta <= 0.0:
-        return ()
     eps = delta / min(params.a1, params.a2)
     centers = [s for s, _ in switch_times(params, 0.0, t_end + eps)]
     for z in zero_times:

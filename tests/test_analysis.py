@@ -155,6 +155,16 @@ def test_coexistence_refuses_a_horizon_over_the_cap():
         coexistence_check(Params(1.0, 6.0, 3.0, 1.0), horizon_periods=10**8)
 
 
+@pytest.mark.parametrize("horizon", [0, 1, 2])
+def test_coexistence_refuses_a_horizon_below_three(horizon, monkeypatch):
+    import relaydde.analysis as analysis_module
+    classified = []
+    monkeypatch.setattr(analysis_module, "classify", classified.append)
+    with pytest.raises(ValueError, match=f"at least 3, got {horizon}"):
+        coexistence_check(Params(1.0, 6.0, 3.0, 1.0), horizon_periods=horizon)
+    assert classified == []
+
+
 def test_coexistence_requires_validated_dual_orbit():
     # the dual of this point has d < 0, so no stable period-2T orbit exists
     with pytest.raises(PairingFailed, match="dual"):

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import relaydde
-from relaydde.cli import main
+from relaydde.cli import _build_parser, main
 from relaydde.exact import ConstantHistory, propagate, zeros
 from relaydde.model import Params
 from relaydde.tables import ROWS
@@ -283,10 +283,10 @@ def test_config_supplies_flags_and_explicit_flags_win(tmp_path, monkeypatch, cap
     assert capsys.readouterr().out.splitlines()[-1].startswith("12.0,")
     # malformed config values are input errors, typed and checked as the flags are
     for command, bad, message in (
-            ("simulate", "a1 = x\n", "config value for 'a1' is not valid"),
-            ("simulate", "profile = step\n", "unknown profile 'step'"),
-            ("simulate", "format = xml\n", "unknown format 'xml'"),
-            ("scan", "resolution = 2.5\n", "config value for 'resolution' is not valid")):
+            ("simulate", "a1 = x\n", "argument --a1: invalid float value: 'x'"),
+            ("simulate", "profile = step\n", "argument --profile: invalid choice: 'step'"),
+            ("simulate", "format = xml\n", "argument --format: invalid choice: 'xml'"),
+            ("scan", "resolution = 2.5\n", "argument --resolution: invalid int value: '2.5'")):
         cfg.write_text(bad)
         assert main([command, "--config", "run.cfg"]) == 2
         assert message in capsys.readouterr().err
@@ -310,6 +310,61 @@ def test_config_text_format(tmp_path, capsys):
         assert capsys.readouterr() == ("", message)
 
 
+def test_config_keys_may_be_spelled_like_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("a1 = 1\na2 = 6\np1 = 3\np2 = 1\nh = -0.5\nt-end = 4\n")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    via_config = capsys.readouterr().out
+    assert via_config.splitlines()[-1].startswith("4.0,")
+    assert main(["simulate", "--a1", "1", "--a2", "6", "--p1", "3", "--p2", "1",
+                 "--h", "-0.5", "--t-end", "4"]) == 0
+    assert capsys.readouterr().out == via_config
+
+
+def test_config_refuses_a_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for text, message in (
+            ("a1 = 1\na2 = 6\np1 = 3\np2 = 1\n# again\na1 = 5\n",
+             "error: config line 6: 'a1' was already set on line 1\n"),
+            ("a1 = 1\na2 = 6\np1 = 3\np2 = 1\nt_end = 4\nt-end = 5\n",
+             "error: config line 6: 't-end' was already set on line 5\n")):
+        cfg.write_text(text)
+        assert main(["classify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", message)
+
+
+def test_help_shows_every_default(capsys):
+    _, schema = _build_parser()
+    defaults = {}
+    for command, flags in schema.items():
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for dest, action in flags.items():
+            if action.default is not None:
+                defaults[command, dest] = action.default
+                assert f"(default {action.default})" in text, (command, dest)
+    assert defaults == {
+        **{(command, "format"): "json"
+           for command in ("classify", "tables", "scan", "smooth", "coexist")},
+        ("simulate", "format"): "csv", ("simulate", "delta"): 0.0,
+        ("scan", "span"): 0.1, ("scan", "resolution"): 3,
+        ("smooth", "t_end"): 30.0, ("smooth", "deltas"): "0.05,0.025,0.0125",
+        ("coexist", "horizon"): 30,
+    }
+
+
+def test_zero_history_depends_on_the_engine(capsys):
+    point = ["--a1", "1", "--a2", "6", "--p1", "3", "--p2", "1", "--h", "0", "--t-end", "4"]
+    # the smoothed system keeps the invariant zero solution
+    assert main(["simulate", *point, "--delta", "0.1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows and all(float(x) == float(dx) == 0.0 for _, x, dx in rows)
+    # the exact engine needs a nonzero history
+    assert main(["simulate", *point, "--delta", "0"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: history value must be nonzero and finite, got 0.0\n")
+
+
 def test_exit_codes(capsys, tmp_path):
     # missing required value
     assert main(["simulate", "--a1", "1", "--a2", "6", "--p1", "3",
@@ -324,6 +379,10 @@ def test_exit_codes(capsys, tmp_path):
                  "--p2", "1"]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+    # too short a coexistence horizon
+    assert main(["coexist", "--a1", "1", "--a2", "6", "--p1", "3", "--p2", "1",
+                 "--horizon", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: horizon_periods must be at least 3, got 2\n")
     # computational failure: no unstable orbit to pair
     assert main(["coexist", "--a1", "1", "--a2", "0.25", "--p1", "2.5",
                  "--p2", "1.5"]) == 1

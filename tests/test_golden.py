@@ -65,6 +65,13 @@ def _cli_cases():
         cases[f"smooth-{fmt}"] = ["smooth", *_params_flags(1, 0.25, 2.5, 1.5),
                                   "--h", "-0.25", "--deltas", "0.2,0.1", "--t-end", "5",
                                   "--format", fmt]
+    # a payload file and the summary line these commands print beside it
+    cases["scan-output-csv"] = ["scan", *_params_flags(1.5, 1.5, 2, 2), "--resolution", "3",
+                                "--output", "OUT", "--format", "csv"]
+    cases["smooth-output-json"] = ["smooth", *_params_flags(1, 0.25, 2.5, 1.5), "--h", "-0.25",
+                                   "--deltas", "0.2,0.1", "--t-end", "5", "--output", "OUT"]
+    cases["coexist-output-csv"] = ["coexist", *_params_flags(1, 6, 3, 1), "--output", "OUT",
+                                   "--format", "csv"]
     cases["simulate-config"] = ["simulate", *_params_flags(1, 6, 3, 1), "--h", "-0.5",
                                 "--t-end", "10", "--config", "CFG"]
     cases["scan-config"] = ["scan", *_params_flags(1.5, 1.5, 2, 2), "--config", "CFG"]
