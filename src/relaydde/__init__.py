@@ -26,6 +26,8 @@ Module map:
 classify is the one verdict pipeline: each closed-form candidate is
 validated by exact propagation before it is reported.  The other modules
 return records (frozen dataclasses, named tuples, dicts), never text.
+numpy loads on first use, only when numeric integrates or compares a
+smoothed solution, so the exact and return-map work runs without it.
 """
 
 from .analysis import (

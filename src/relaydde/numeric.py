@@ -29,7 +29,8 @@ merged into a ramp edge less than BREAK_TOL below it, is split at the last
 step whose history is stored.)
 
 The sharp model (delta == 0) is not integrated here: exact.propagate
-builds its solution event by event.
+builds its solution event by event. numpy is imported inside the functions
+that build or read arrays, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .exact import ConstantHistory, propagate, zeros as path_zeros
 from .model import (MAX_WORK, Params, Profile, RelayDDEError, SmoothingSpec, switch_times,
@@ -72,6 +71,7 @@ class DenseSolution:
     smoothing: SmoothingSpec
 
     def __post_init__(self) -> None:
+        import numpy as np
         n = len(self.times)
         if n < 2 or len(self.values) != n or len(self.derivs) != n:
             raise ValueError("times, values and derivs must share a length >= 2")
@@ -84,6 +84,7 @@ class DenseSolution:
 
     def values_at(self, ts) -> np.ndarray:
         """Cubic Hermite evaluation at the given times (vectorized)."""
+        import numpy as np
         tq = np.asarray(ts, dtype=float)
         scalar = tq.ndim == 0
         tq = np.atleast_1d(tq)
@@ -103,6 +104,7 @@ def _locate(times, tq):
     before it, which is the second copy of a repeated time, or the last
     interval; a zero-width interval there is stepped back off.
     """
+    import numpy as np
     i = np.minimum(np.searchsorted(times, tq, side="right") - 1, len(times) - 2)
     i = np.where(times[i + 1] == times[i], i - 1, i)
     t0 = times[i]
@@ -129,6 +131,7 @@ def _hermite_at(values, derivs, i, u, dt):
 def _coefficient_array(params: Params, smoothing: SmoothingSpec, t: np.ndarray) -> np.ndarray:
     """model.coefficient_value at each time in t, bit for bit, without its
     per-call geometry check (run_step makes it once per run)."""
+    import numpy as np
     T = params.period
     phase = t % T
     phase[phase >= T] = 0.0
@@ -146,6 +149,7 @@ def _coefficient_array(params: Params, smoothing: SmoothingSpec, t: np.ndarray) 
 
 def _nonlinearity_array(smoothing: SmoothingSpec, x: np.ndarray) -> np.ndarray:
     """model.nonlinearity_value at each element of x, bit for bit."""
+    import numpy as np
     d = smoothing.delta
     if smoothing.profile is Profile.AFFINE:
         return np.where(x >= d, -1.0, np.where(x <= -d, 1.0, -x / d))
@@ -221,6 +225,7 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
     The run and the step are checked, and an omitted step chosen, by
     run_step before anything is built; delta == 0 is refused there.
     """
+    import numpy as np
     if not math.isfinite(h):
         raise ValueError("history value h must be finite")
     step = run_step(params, smoothing, t_end, step)
@@ -375,6 +380,7 @@ def compare_exact_smoothed(params: Params, h: float, sol: DenseSolution) -> dict
     overall and outside the corner windows, where the O(delta) corner
     mismatch sits. No integration is run here.
     """
+    import numpy as np
     t_end = sol.end_time
     exact_path = propagate(params, ConstantHistory(h), t_end)
 

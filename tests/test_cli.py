@@ -5,7 +5,9 @@ payload on stdout or in the declared output file, and that nothing else
 gets written.  The over-the-cap refusals run the CLI in a subprocess under
 a timeout, so a request that starts its work instead of refusing it fails
 the test rather than hanging the run; the hash-seed check runs one
-subprocess per PYTHONHASHSEED, which is fixed when an interpreter starts.
+subprocess per PYTHONHASHSEED, which is fixed when an interpreter starts,
+and the numpy check runs each command in a fresh interpreter, because a
+module once imported stays in sys.modules.
 """
 
 import json
@@ -116,12 +118,17 @@ def test_simulate_exact_refuses_smoothing_flags(flag, tmp_path, capsys):
     assert capsys.readouterr() == refused
 
 
-def _run_cli(argv, **env_vars):
-    """The CLI in a subprocess, with its real stderr, under a timeout."""
+def _python(args, **env_vars):
+    """A fresh interpreter on this package, with its real stderr, under a timeout."""
     src = str(Path(relaydde.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, **env_vars}
-    return subprocess.run([sys.executable, "-m", "relaydde.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def _run_cli(argv, **env_vars):
+    """The CLI in a subprocess, with its real stderr, under a timeout."""
+    return _python(["-m", "relaydde.cli", *argv], **env_vars)
 
 
 @pytest.mark.parametrize("argv", [
@@ -437,3 +444,37 @@ def test_non_finite_state_names_where_it_happened():
         assert name in done.stderr
     assert "Traceback" not in done.stderr
     assert "RuntimeWarning" not in done.stderr
+
+
+# Runs main(argv) when given arguments, or only imports the package, and
+# reports on its last stderr line whether numpy was loaded.
+_NUMPY_PROBE = """
+import sys
+import relaydde
+code = 0
+if sys.argv[1:]:
+    from relaydde.cli import main
+    code = main(sys.argv[1:])
+sys.stderr.write(f"\\nnumpy loaded: {'numpy' in sys.modules}\\n")
+raise SystemExit(code)
+"""
+
+_POINT = ["--a1", "1", "--a2", "0.25", "--p1", "2.5", "--p2", "1.5"]
+
+
+@pytest.mark.parametrize("argv, code, loads_numpy", [
+    ([], 0, False),
+    (["classify", *_POINT], 0, False),
+    (["tables"], 3, False),
+    (["coexist", "--a1", "1", "--a2", "6", "--p1", "3", "--p2", "1"], 0, False),
+    (["scan", *_POINT, "--resolution", "2"], 0, False),
+    (["simulate", *_POINT, "--h", "-0.25", "--t-end", "4", "--delta", "0"], 0, False),
+    # controls: these integrate, so the probe must see numpy
+    (["simulate", *_POINT, "--h", "-0.25", "--t-end", "4", "--delta", "0.3"], 0, True),
+    (["smooth", *_POINT, "--h", "-0.25", "--t-end", "4", "--deltas", "0.2,0.1"], 0, True),
+], ids=["import", "classify", "tables", "coexist", "scan", "simulate-exact",
+        "simulate-smoothed", "smooth"])
+def test_numpy_loads_only_for_smoothed_work(argv, code, loads_numpy):
+    done = _python(["-c", _NUMPY_PROBE, *argv])
+    assert done.returncode == code, done.stderr
+    assert done.stderr.splitlines()[-1] == f"numpy loaded: {loads_numpy}"
