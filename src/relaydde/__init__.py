@@ -11,12 +11,12 @@ are smoothed.
 
 Module map:
 
-    model     parameter/validation layer, coefficient and nonlinearity values,
-              the coefficient switch schedule and the work cap
+    model     parameter/validation layer, the sharp coefficient, the
+              coefficient switch schedule and the work cap
     exact     event-driven exact propagation and piecewise-affine paths
     maps      return-map coefficients, fixed points, classify, basins
-    numeric   run checks (run_step) and the method-of-steps integrator for the
-              smoothed system, comparisons
+    numeric   run checks (run_step), the smoothed coefficient and nonlinearity,
+              the method-of-steps integrator for the smoothed system, comparisons
     tables    embedded benchmark dataset
     analysis  benchmark grading from classify, coexistence pairing, scans,
               convergence
@@ -80,7 +80,6 @@ from .model import (
     RelayDDEError,
     SmoothingSpec,
     coefficient_value,
-    nonlinearity_value,
     validate_geometry,
 )
 from .numeric import (
@@ -89,7 +88,6 @@ from .numeric import (
     compare_exact_smoothed,
     corner_windows,
     integrate,
-    one_period_multiplier,
     run_step,
 )
 from .tables import ROWS, TableRow
@@ -135,8 +133,6 @@ __all__ = [
     "dual_params",
     "grade_row",
     "integrate",
-    "nonlinearity_value",
-    "one_period_multiplier",
     "path_sup_distance",
     "propagate",
     "reproduce_tables",

@@ -292,13 +292,15 @@ def smoothing_convergence(params: Params, h: float, deltas,
     """Check uniform convergence of the smoothed system as delta shrinks.
 
     deltas must be a strictly decreasing list of positive half-widths and
-    t_end must exceed the delay 1. Every half-width's run passes run_step
-    before the first solve. Each half-width is then integrated once, from
-    h to t_end at the default step, and compared with the exact solution
-    by compare_exact_smoothed. The overall deviation must be non-increasing
-    along the list; otherwise ConvergenceFailed is raised. The fitted linear
-    constant C is the largest deviation / delta, so each outside-corner
-    residual, a max over some of the same deviations, is at most C * delta.
+    t_end must exceed the delay 1. Before the first solve, h is checked as
+    the exact run's ConstantHistory (nonzero and finite) and every
+    half-width's run passes run_step. Each half-width is then integrated
+    once, from h to t_end at the default step, and compared with the exact
+    solution by compare_exact_smoothed. The overall deviation must be
+    non-increasing along the list; otherwise ConvergenceFailed is raised.
+    The fitted linear constant C is the largest deviation / delta, so each
+    outside-corner residual, a max over some of the same deviations, is at
+    most C * delta.
     """
     ds = tuple(float(d) for d in deltas)
     if not ds:
@@ -309,6 +311,7 @@ def smoothing_convergence(params: Params, h: float, deltas,
         raise ValueError("deltas must be strictly decreasing")
     if not math.isfinite(t_end) or t_end <= 1.0:
         raise ValueError("t_end must exceed the delay 1")
+    ConstantHistory(h)  # the exact run's history: h must be nonzero and finite
     for d in ds:
         run_step(params, SmoothingSpec(d), t_end)
     rows = []

@@ -8,7 +8,8 @@ where a(t) is a positive two-level T-periodic coefficient and f is a
 negative-feedback nonlinearity.  The coefficient equals ``a1`` on [0, p1)
 and ``a2`` on [p1, T) with T = p1 + p2, extended periodically.  The
 nonlinearity is the relay f(x) = -sign(x), or one of two smooth
-approximations controlled by a half-width ``delta``.
+approximations controlled by a half-width ``delta``.  This module holds the
+sharp coefficient; the smoothed ramps and profiles are defined in numeric.
 """
 
 from __future__ import annotations
@@ -106,59 +107,14 @@ def validate_geometry(params: Params, smoothing: SmoothingSpec) -> None:
         raise ValueError("smoothing windows overlap: 2*delta must stay below min(p1, p2)")
 
 
-def coefficient_value(params: Params, t: float, smoothing: SmoothingSpec = SmoothingSpec()) -> float:
-    """Value of the (possibly smoothed) coefficient at time t.
+def coefficient_value(params: Params, t: float) -> float:
+    """Value of the sharp two-level coefficient at time t.
 
-    Without smoothing this is the two-level step.  With smoothing each jump
-    is replaced by the affine ramp of half-width delta centred at the switch
-    time, which keeps the integral over any whole period unchanged.  Ramp
-    geometry is validated when delta > 0.
+    The smoothed ramps are numeric._coefficient_array's; exact.propagate
+    reads this step once per run, for the level at its start time.
     """
     T = params.period
     phase = t % T
     if phase >= T:  # guard against rounding of tiny negative t
         phase = 0.0
-    d = smoothing.delta
-    if d == 0.0:
-        return params.a1 if phase < params.p1 else params.a2
-    validate_geometry(params, smoothing)
-    a1, a2, p1 = params.a1, params.a2, params.p1
-    if phase < d:
-        return a2 + (a1 - a2) * (phase + d) / (2.0 * d)
-    if phase < p1 - d:
-        return a1
-    if phase < p1 + d:
-        return a1 + (a2 - a1) * (phase - (p1 - d)) / (2.0 * d)
-    if phase < T - d:
-        return a2
-    return a2 + (a1 - a2) * (phase - (T - d)) / (2.0 * d)
-
-
-def nonlinearity_value(smoothing: SmoothingSpec, x: float) -> float:
-    """Negative-feedback nonlinearity f(x).
-
-    delta == 0 gives the relay -sign(x).  The affine profile is the relay
-    with the jump replaced by the chord of slope -1/delta on [-delta, delta].
-    The smoothexp profile is the odd C^1 function that equals
-    exp(delta*x / (x - delta)) - 1 on [0, delta) and -1 beyond; it has
-    slope -1 at zero and joins the saturated levels flatly.
-    """
-    d = smoothing.delta
-    if d == 0.0:
-        if x > 0.0:
-            return -1.0
-        if x < 0.0:
-            return 1.0
-        return 0.0
-    if smoothing.profile is Profile.AFFINE:
-        if x >= d:
-            return -1.0
-        if x <= -d:
-            return 1.0
-        return -x / d
-    ax = abs(x)
-    if ax >= d:
-        v = -1.0
-    else:
-        v = math.exp(d * ax / (ax - d)) - 1.0
-    return -v if x < 0.0 else v
+    return params.a1 if phase < params.p1 else params.a2

@@ -129,8 +129,13 @@ def _hermite_at(values, derivs, i, u, dt):
 
 
 def _coefficient_array(params: Params, smoothing: SmoothingSpec, t: np.ndarray) -> np.ndarray:
-    """model.coefficient_value at each time in t, bit for bit, without its
-    per-call geometry check (run_step makes it once per run)."""
+    """The smoothed coefficient at each time in t.
+
+    Each jump of the two-level step is replaced by the affine ramp of
+    half-width delta centred at its switch time, which keeps the integral
+    over any whole period unchanged. The ramp geometry is not checked here:
+    run_step checks it once per run.
+    """
     import numpy as np
     T = params.period
     phase = t % T
@@ -148,7 +153,14 @@ def _coefficient_array(params: Params, smoothing: SmoothingSpec, t: np.ndarray) 
 
 
 def _nonlinearity_array(smoothing: SmoothingSpec, x: np.ndarray) -> np.ndarray:
-    """model.nonlinearity_value at each element of x, bit for bit."""
+    """The smoothed negative-feedback nonlinearity f at each element of x.
+
+    The affine profile is the relay -sign(x) with the jump replaced by the
+    chord of slope -1/delta on [-delta, delta]. The smoothexp profile is the
+    odd C^1 function that equals exp(delta*x / (x - delta)) - 1 on
+    [0, delta) and -1 beyond; it has slope -1 at zero and joins the
+    saturated levels flatly.
+    """
     import numpy as np
     d = smoothing.delta
     if smoothing.profile is Profile.AFFINE:
@@ -156,7 +168,8 @@ def _nonlinearity_array(smoothing: SmoothingSpec, x: np.ndarray) -> np.ndarray:
     ax = np.abs(x)
     v = np.full_like(ax, -1.0)
     inside = ~(ax >= d)
-    # math.exp as in nonlinearity_value: np.exp rounds some of these differently
+    # math.exp, not np.exp: np.exp rounds some of these differently, and the
+    # pinned integrate digests and the scalar reference in tests use math.exp
     v[inside] = [math.exp(z) - 1.0 for z in (d * ax[inside] / (ax[inside] - d)).tolist()]
     return np.where(x < 0.0, -v, v)
 
@@ -402,13 +415,3 @@ def compare_exact_smoothed(params: Params, h: float, sol: DenseSolution) -> dict
         "max_dev_overall": float(dev.max()),
         "corner_windows": windows,
     }
-
-
-def one_period_multiplier(params: Params, h_center: float, eps0: float = 1e-6) -> float:
-    """Central-difference slope of the one-period return map at h_center."""
-    if not (math.isfinite(eps0) and eps0 > 0.0):
-        raise ValueError("eps0 must be positive and finite")
-    T = params.period
-    plus = propagate(params, ConstantHistory(h_center + eps0), T)
-    minus = propagate(params, ConstantHistory(h_center - eps0), T)
-    return (plus.end_value - minus.end_value) / (2.0 * eps0)

@@ -1,17 +1,78 @@
-"""Step-by-step reference for numeric.integrate.
+"""Step-by-step reference for numeric.integrate, with scalar rhs functions.
 
 The same scheme as ``integrate``, one Python iteration per step: each rhs
-value calls the scalar ``coefficient_value`` and ``nonlinearity_value`` on a
-delayed value looked up through a rolling pointer, and each echo knot is
-inserted as soon as its crossing is found. ``integrate`` must match it bit
-for bit.
+value calls the scalar ``coefficient_value`` and ``nonlinearity_value``
+below on a delayed value looked up through a rolling pointer, and each echo
+knot is inserted as soon as its crossing is found. ``integrate`` must match
+it bit for bit. The two scalar functions are the reference forms of
+``numeric._coefficient_array`` and ``numeric._nonlinearity_array``, which
+must also match them bit for bit, and ``coefficient_value`` without
+smoothing is ``model.coefficient_value``'s sharp step.
 """
 
 import bisect
 import math
 
-from relaydde.model import coefficient_value, nonlinearity_value, switch_times
+from relaydde.model import Profile, SmoothingSpec, switch_times, validate_geometry
 from relaydde.numeric import BREAK_TOL, _crossing_time, _hermite_at, run_step
+
+
+def coefficient_value(params, t, smoothing=SmoothingSpec()):
+    """Value of the (possibly smoothed) coefficient at time t.
+
+    Without smoothing this is the two-level step.  With smoothing each jump
+    is replaced by the affine ramp of half-width delta centred at the switch
+    time, which keeps the integral over any whole period unchanged.  Ramp
+    geometry is validated when delta > 0.
+    """
+    T = params.period
+    phase = t % T
+    if phase >= T:  # guard against rounding of tiny negative t
+        phase = 0.0
+    d = smoothing.delta
+    if d == 0.0:
+        return params.a1 if phase < params.p1 else params.a2
+    validate_geometry(params, smoothing)
+    a1, a2, p1 = params.a1, params.a2, params.p1
+    if phase < d:
+        return a2 + (a1 - a2) * (phase + d) / (2.0 * d)
+    if phase < p1 - d:
+        return a1
+    if phase < p1 + d:
+        return a1 + (a2 - a1) * (phase - (p1 - d)) / (2.0 * d)
+    if phase < T - d:
+        return a2
+    return a2 + (a1 - a2) * (phase - (T - d)) / (2.0 * d)
+
+
+def nonlinearity_value(smoothing, x):
+    """Negative-feedback nonlinearity f(x).
+
+    delta == 0 gives the relay -sign(x).  The affine profile is the relay
+    with the jump replaced by the chord of slope -1/delta on [-delta, delta].
+    The smoothexp profile is the odd C^1 function that equals
+    exp(delta*x / (x - delta)) - 1 on [0, delta) and -1 beyond; it has
+    slope -1 at zero and joins the saturated levels flatly.
+    """
+    d = smoothing.delta
+    if d == 0.0:
+        if x > 0.0:
+            return -1.0
+        if x < 0.0:
+            return 1.0
+        return 0.0
+    if smoothing.profile is Profile.AFFINE:
+        if x >= d:
+            return -1.0
+        if x <= -d:
+            return 1.0
+        return -x / d
+    ax = abs(x)
+    if ax >= d:
+        v = -1.0
+    else:
+        v = math.exp(d * ax / (ax - d)) - 1.0
+    return -v if x < 0.0 else v
 
 
 def stepwise_integrate(params, smoothing, h, t_end, step=None):

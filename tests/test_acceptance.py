@@ -18,6 +18,8 @@ import pytest
 
 from _euler import euler_reference
 from _halving import step_halving_estimate
+from _multiplier import one_period_multiplier
+from _stepwise import nonlinearity_value
 from relaydde.analysis import coexistence_check, reproduce_tables
 from relaydde.exact import ConstantHistory, propagate
 from relaydde.maps import (
@@ -31,9 +33,8 @@ from relaydde.model import (
     Params,
     Profile,
     SmoothingSpec,
-    nonlinearity_value,
 )
-from relaydde.numeric import compare_exact_smoothed, integrate, one_period_multiplier
+from relaydde.numeric import compare_exact_smoothed, integrate
 from relaydde.tables import ROWS
 
 SEED = 20240819

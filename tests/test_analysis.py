@@ -312,6 +312,17 @@ def test_convergence_refuses_over_the_cap_before_any_solve(monkeypatch):
     assert solved == []
 
 
+def test_convergence_refuses_a_zero_history_before_any_solve(monkeypatch):
+    import relaydde.analysis as analysis_module
+
+    def no_integrate(*args, **kwargs):
+        raise AssertionError("integrate ran before h was checked")
+
+    monkeypatch.setattr(analysis_module, "integrate", no_integrate)
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        smoothing_convergence(Params(1.0, 0.25, 2.5, 1.5), 0.0, (0.05,), 6000.0)
+
+
 def test_convergence_failure_detected(monkeypatch):
     calls = iter([1e-3, 5e-3, 9e-3])
 

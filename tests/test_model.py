@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from _stepwise import coefficient_value, nonlinearity_value
+from relaydde import model
 from relaydde.model import (
     Params,
     Profile,
     SmoothingSpec,
-    coefficient_value,
-    nonlinearity_value,
     switch_times,
     validate_geometry,
 )
@@ -63,6 +63,15 @@ def test_sharp_coefficient_levels_and_periodicity():
     assert coefficient_value(p, 7.0) == 6.0
     assert coefficient_value(p, -0.5) == 6.0  # periodic extension to negative times
     assert coefficient_value(p, -1e-18) == 1.0  # rounding of tiny negative phase
+
+
+def test_model_coefficient_is_the_sharp_reference_step():
+    # the tests above read the scalar reference; the package keeps its sharp step
+    p = Params(a1=1.0, a2=6.0, p1=3.0, p2=1.0)
+    times = [0.0, 2.999999, 3.0, 3.9, 4.0, 7.0, -0.5, -1e-18]
+    times += [s + off for s, _ in switch_times(p, -5.0, 40.0) for off in (-1e-9, 0.0, 1e-9)]
+    for t in times:
+        assert model.coefficient_value(p, t) == coefficient_value(p, t)
 
 
 def test_switch_schedule():

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _halving import step_halving_estimate
-from _stepwise import stepwise_integrate
+from _multiplier import one_period_multiplier
+from _stepwise import coefficient_value, nonlinearity_value, stepwise_integrate
 from relaydde import model, numeric
 from relaydde.exact import ConstantHistory, propagate, zeros
-from relaydde.model import (Params, Profile, SmoothingSpec, coefficient_value,
-                            nonlinearity_value)
+from relaydde.model import Params, Profile, SmoothingSpec
 from relaydde.numeric import (
     DenseSolution,
     _coefficient_array,
@@ -20,7 +20,6 @@ from relaydde.numeric import (
     compare_exact_smoothed,
     corner_windows,
     integrate,
-    one_period_multiplier,
     run_step,
 )
 
