@@ -24,7 +24,9 @@ Module map:
               that parses config text or turns results into JSON, CSV or reports
 
 classify is the one verdict pipeline: each closed-form candidate is
-validated by exact propagation before it is reported.  The other modules
+validated by exact propagation before it is reported.  Its core,
+maps._verdicts, returns plain tuples, which classify wraps into records and
+scan reads directly.  The other modules
 return records (frozen dataclasses, named tuples, dicts), never text.
 numpy loads on first use, only when numeric integrates or compares a
 smoothed solution, so the exact and return-map work runs without it.

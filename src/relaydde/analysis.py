@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exact import ConstantHistory, PiecewisePath, path_sup_distance, propagate
-from .maps import SHAPE_INVALID, STABLE_2T, STABLE_T, UNSTABLE_T, classify, dual_params
+from .maps import (SHAPE_INVALID, STABLE_2T, STABLE_T, UNSTABLE_T, _verdicts, classify,
+                   dual_params)
 from .model import MAX_WORK, Params, RelayDDEError, SmoothingSpec
 from .numeric import compare_exact_smoothed, integrate, run_step
 from .tables import ROWS, TableRow
@@ -263,9 +264,8 @@ def scan(a1_range: tuple[float, float], a2_range: tuple[float, float],
                     except ValueError:
                         cells.append(ScanCell(a1, a2, p1, p2, ("InvalidParams",), False))
                         continue
-                    verdicts = classify(params)
-                    kinds = tuple(v.kind for v in verdicts)
-                    boundary = any(v.boundary for v in verdicts)
+                    *_, boundary, verdicts = _verdicts(params)
+                    kinds = tuple(v[0] for v in verdicts)
                     if "StableT" in kinds and "UnstableT" in kinds:  # pragma: no cover
                         overlap_free = False
                     cells.append(ScanCell(a1, a2, p1, p2, kinds, boundary))

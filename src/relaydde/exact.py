@@ -24,6 +24,7 @@ feedback can flip.  The engine still guards that invariant at run time.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -35,6 +36,10 @@ TIME_TOL = 1e-12
 
 class DegenerateStall(RelayDDEError):
     """Raised if event tracking loses the slow oscillation invariant."""
+
+
+def _stall(what: str, t: float, x: float, params: Params) -> DegenerateStall:
+    return DegenerateStall(f"{what} at t = {t!r}, x = {x!r}, at {params}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ class PiecewisePath:
     def __post_init__(self) -> None:
         if len(self.times) != len(self.values) or len(self.times) < 2:
             raise ValueError("path needs matching times and values with at least two knots")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if any(map(operator.le, self.times[1:], self.times)):
             raise ValueError("knot times must be strictly increasing")
 
     @property
@@ -121,49 +126,50 @@ def propagate(
     t, x = start_time, h
     times = [t]
     values = [x]
+    add_time, add_value = times.append, values.append
+    tol, inf = TIME_TOL, math.inf
     fb = 1.0 if h < 0.0 else -1.0
-    t_flip = math.inf  # pending feedback flip time; at most one is ever pending
+    t_flip = inf  # pending feedback flip time; at most one is ever pending
     # level on the current piece; a switch within TIME_TOL of t counts as passed
     level = coefficient_value(params, start_time)
-    switches = switch_times(params, start_time - TIME_TOL, t_end)
-    t_switch, next_level = next(switches, (math.inf, level))
-    while t < t_end - TIME_TOL:
+    switches = switch_times(params, start_time - tol, t_end)
+    t_switch, next_level = next(switches, (inf, level))
+    t_last = t_end - tol
+    while t < t_last:
         budget -= 1
         if budget < 0:
-            raise DegenerateStall("event budget exceeded; dynamics did not stay slowly oscillating")
-        while t_switch <= t + TIME_TOL:
+            raise _stall("event budget exceeded; dynamics did not stay slowly oscillating",
+                         t, x, params)
+        while t_switch <= t + tol:
             level = next_level
-            t_switch, next_level = next(switches, (math.inf, level))
-        t_stop = min(t_end, t_switch, t_flip)
+            t_switch, next_level = next(switches, (inf, level))
+        t_stop = t_switch if t_switch < t_end else t_end
+        if t_flip < t_stop:
+            t_stop = t_flip
         slope = level * fb
         # closed-form zero of the affine piece, if the piece heads toward zero
-        z = None
         if x != 0.0 and (x < 0.0) == (slope > 0.0):
-            z_cand = t - x / slope
-            if z_cand <= t_stop + TIME_TOL:
-                z = z_cand
-        if z is not None and z < t_stop - TIME_TOL:
-            if t_flip < math.inf:
-                raise DegenerateStall("zero within one delay of the previous zero")
-            times.append(z)
-            values.append(0.0)
-            t_flip = z + 1.0
-            t, x = z, 0.0
-            continue
-        x_new = x + slope * (t_stop - t)
-        if z is not None:
-            # the zero lands on the event time itself
-            if t_flip < math.inf:
-                raise DegenerateStall("zero coincides with a pending feedback flip")
-            x_new = 0.0
-        times.append(t_stop)
-        values.append(x_new)
-        t, x = t_stop, x_new
-        if t_flip <= t + TIME_TOL:
-            t_flip = math.inf
+            z = t - x / slope
+            if z <= t_stop + tol:
+                if t_flip < inf:
+                    raise _stall("zero within one delay of the previous zero", t, x, params)
+                if z < t_stop - tol:
+                    if z <= t:
+                        raise _stall("zero does not lie after the current event", t, x, params)
+                    t_stop = z
+                # else the zero lands on the event time itself
+                add_time(t_stop)
+                add_value(0.0)
+                t, x = t_stop, 0.0
+                t_flip = t + 1.0
+                continue
+        x += slope * (t_stop - t)
+        t = t_stop
+        add_time(t)
+        add_value(x)
+        if t_flip <= t + tol:
+            t_flip = inf
             fb = -fb
-        if z is not None:
-            t_flip = t + 1.0
     if times[-1] < t_end:  # an event landed within TIME_TOL of t_end
         times[-1] = t_end
     return PiecewisePath(start_time=start_time, times=tuple(times), values=tuple(values))

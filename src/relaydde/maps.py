@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .exact import ConstantHistory, propagate, zeros
+from .exact import ConstantHistory, DegenerateStall, propagate, zeros
 from .model import Params, RelayDDEError
 
 STABLE_T = "StableT"
@@ -171,21 +171,62 @@ class _Branch(NamedTuple):
 
     kind: str
     applies: Callable[[float, float, float, float], bool]  # on (m, b, k, d)
-    level: Callable[[Params], float]  # candidate starting level h*
+    level: Callable[[float, float, float, float], float]  # candidate h* from (m, b, k, d)
     validate: Callable[[Params, float], tuple[bool, str]]
     periods: int  # coefficient periods per orbit
     label: str  # names the candidate, and its zero count, in ShapeInvalid reasons
 
 
+# each level is type1_fixed_point's or type2_two_cycle's expression, which
+# the branch's applies test keeps away from their refusals
 _BRANCHES = (
     _Branch(STABLE_T, lambda m, b, k, d: abs(m) < 1.0 and b > 0.0,
-            type1_fixed_point, _validate_two_zero, 1, "stable two-zero candidate"),
+            lambda m, b, k, d: b / (m - 1.0), _validate_two_zero, 1,
+            "stable two-zero candidate"),
     _Branch(UNSTABLE_T, lambda m, b, k, d: m > 1.0 and b < 0.0,
-            type1_fixed_point, _validate_two_zero, 1, "unstable two-zero candidate"),
+            lambda m, b, k, d: b / (m - 1.0), _validate_two_zero, 1,
+            "unstable two-zero candidate"),
     _Branch(STABLE_2T, lambda m, b, k, d: abs(k) < 1.0 and d > 0.0,
-            lambda params: type2_two_cycle(params)[0], _validate_one_zero, 2,
+            lambda m, b, k, d: -d / (k + 1.0), _validate_one_zero, 2,
             "one-zero two-cycle candidate"),
 )
+
+
+def _verdicts(params: Params) -> tuple[float, float, float, float, bool, list[tuple]]:
+    """classify's core: m, b, k, d, boundary and one plain verdict tuple
+    (kind, h_star, period, validated, reason) per verdict, in classify's
+    order.  scan reads the kinds and boundary from here without records.
+    """
+    m, b = type1_coefficients(params)
+    k, d = type2_coefficients(params)
+    if not all(map(math.isfinite, (m, b, k, d))):
+        bad = [f"{name} = {v!r}" for name, v in zip("mbkd", (m, b, k, d)) if not math.isfinite(v)]
+        raise ValueError(f"return-map coefficients are not finite ({', '.join(bad)}) at {params}")
+    # k == -m exactly, and m > -1 for positive levels (m == -1 only when
+    # a2/a1 rounds away), so m == 1 covers both slope equalities
+    boundary = m == 1.0 or b == 0.0 or d == 0.0
+    out, failed = [], []
+    for kind, applies, level, validate, periods, label in _BRANCHES:
+        if not applies(m, b, k, d):
+            continue
+        h = level(m, b, k, d)
+        try:
+            ok, why = (validate(params, h) if h < 0.0
+                       else (False, "starting level is not negative"))
+        except DegenerateStall as exc:  # e.g. a zero that rounds onto its knot
+            ok, why = False, str(exc)
+        if ok:
+            out.append((kind, (h, -h) if periods == 2 else h, periods * params.period, True, ""))
+        else:
+            failed.append((SHAPE_INVALID, h, None, False, f"{label}: {why}"))
+    if k < -1.0:
+        out.append((DIVERGES_2T, None, None, False,
+                    "slope k < -1: iterates of the one-zero map diverge"))
+    out += failed
+    if not out:
+        out.append((SHAPE_INVALID, None, None, False,
+                    "no closed-form branch applies to these parameters"))
+    return m, b, k, d, boundary, out
 
 
 def classify(params: Params) -> tuple[Classification, ...]:
@@ -199,40 +240,6 @@ def classify(params: Params) -> tuple[Classification, ...]:
     boundary set if the parameters sit on an excluded equality.  Raises
     ValueError when a map coefficient m, b, k or d is not finite.
     """
-    m, b = type1_coefficients(params)
-    k, d = type2_coefficients(params)
-    bad = [f"{name} = {v!r}" for name, v in zip("mbkd", (m, b, k, d)) if not math.isfinite(v)]
-    if bad:
-        raise ValueError(f"return-map coefficients are not finite ({', '.join(bad)}) at {params}")
-    # k == -m exactly, and m > -1 for positive levels (m == -1 only when
-    # a2/a1 rounds away), so m == 1 covers both slope equalities
-    boundary = m == 1.0 or b == 0.0 or d == 0.0
-    T = params.period
-
-    def record(kind, h_star, period, validated, reason=""):
-        return Classification(kind, h_star, period, m, b, k, d, validated,
-                              boundary=boundary, reason=reason)
-
-    validated: list[Classification] = []
-    failed: list[Classification] = []
-    for branch in _BRANCHES:
-        if not branch.applies(m, b, k, d):
-            continue
-        h = branch.level(params)
-        ok, why = (branch.validate(params, h) if h < 0.0
-                   else (False, "starting level is not negative"))
-        if ok:
-            h_star = (h, -h) if branch.periods == 2 else h
-            validated.append(record(branch.kind, h_star, branch.periods * T, True))
-        else:
-            failed.append(record(SHAPE_INVALID, h, None, False, f"{branch.label}: {why}"))
-
-    out = list(validated)
-    if k < -1.0:
-        out.append(record(DIVERGES_2T, None, None, False,
-                          "slope k < -1: iterates of the one-zero map diverge"))
-    out.extend(failed)
-    if not out:
-        out.append(record(SHAPE_INVALID, None, None, False,
-                          "no closed-form branch applies to these parameters"))
-    return tuple(out)
+    m, b, k, d, boundary, verdicts = _verdicts(params)
+    return tuple(Classification(kind, h_star, period, m, b, k, d, ok, boundary, reason)
+                 for kind, h_star, period, ok, reason in verdicts)

@@ -16,7 +16,7 @@ from relaydde.analysis import (
     scan,
     smoothing_convergence,
 )
-from relaydde.maps import type2_coefficients
+from relaydde.maps import classify, type2_coefficients
 from relaydde.model import Params
 from relaydde.numeric import integrate
 from relaydde.tables import ROWS
@@ -214,6 +214,29 @@ def test_scan_flags_unconstructible_points():
     for cell in invalid:
         assert cell.p1 + cell.p2 <= 1.0
         assert not cell.boundary
+
+
+@pytest.mark.parametrize("box", [
+    ((0.5, 1.5), (3.0, 9.0), (0.2, 4.0), (0.2, 2.0)),  # around (1, 6, 3, 1)
+    ((0.5, 1.5), (0.1, 0.5), (0.25, 3.5), (0.25, 2.5)),  # around (1, 0.25, 2.5, 1.5)
+])
+def test_scan_cells_agree_with_classify(box):
+    # scan reads classify's core without building records; each cell must
+    # carry the kinds and boundary classify reports for its point
+    rep = scan(*box, 6)
+    assert len(rep.cells) == 6**4
+    invalid = 0
+    for c in rep.cells:
+        try:
+            params = Params(c.a1, c.a2, c.p1, c.p2)
+        except ValueError:
+            invalid += 1
+            assert (c.kinds, c.boundary) == (("InvalidParams",), False)
+            continue
+        verdicts = classify(params)
+        assert c.kinds == tuple(v.kind for v in verdicts)
+        assert c.boundary == any(v.boundary for v in verdicts)
+    assert invalid > 0
 
 
 def test_scan_validation():

@@ -434,6 +434,18 @@ def test_classify_non_finite_coefficients_rejected(point, fmt, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_classify_reports_a_stalled_candidate_and_exits_zero(capsys):
+    # the UnstableT candidate's zero rounds onto a knot; the point still gets
+    # its verdicts, with the stall as that candidate's ShapeInvalid reason
+    code = main(["classify", "--a1", "6.80590627692909e-08", "--a2", "89821109.01055714",
+                 "--p1", "3.0579782907825916", "--p2", "2.5215713441926413"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    verdicts = json.loads(captured.out)["verdicts"]
+    assert [v["kind"] for v in verdicts] == ["Diverges2T", "ShapeInvalid"]
+    assert "does not lie after the current event at t = " in verdicts[1]["reason"]
+
+
 def test_non_finite_state_names_where_it_happened():
     done = _run_cli(["simulate", "--a1", "1e308", "--a2", "1e308", "--p1", "1", "--p2", "1",
                      "--h=-1e308", "--delta", "0.1", "--t-end", "3"])

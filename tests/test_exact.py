@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from relaydde.exact import (
     ConstantHistory,
+    DegenerateStall,
     PiecewisePath,
     path_sup_distance,
     propagate,
@@ -17,6 +18,7 @@ from relaydde.exact import (
 from relaydde.model import Params, coefficient_value
 
 from _euler import euler_reference
+from _events import propagate_reference
 
 
 def _type1_mb(params):
@@ -295,3 +297,25 @@ def test_property_every_switch_time_is_a_knot(run):
         i = bisect.bisect_left(path.times, s)
         near = path.times[max(i - 1, 0):i + 1]
         assert min(abs(s - t) for t in near) <= 1e-9, s
+
+
+@PROPERTY_RUNS
+@given(runs())
+def test_property_propagate_matches_the_reference_loop(run):
+    params, h, start, t_end = run
+    path = propagate(params, ConstantHistory(h), t_end, start_time=start)
+    ref = propagate_reference(params, ConstantHistory(h), t_end, start_time=start)
+    assert path.times == ref.times
+    assert path.values == ref.values
+
+
+def test_zero_rounding_onto_the_current_knot_stalls_with_its_place():
+    # at t = p1 the level jumps to a2 ~ 9e7 with x ~ 1.8e-8: the closed-form
+    # zero t + 2e-16 rounds back onto t, so no strictly later knot exists
+    params = Params(6.80590627692909e-08, 89821109.01055714,
+                    3.0579782907825916, 2.5215713441926413)
+    with pytest.raises(DegenerateStall) as info:
+        propagate(params, ConstantHistory(-8.975383932745474e-08), params.period)
+    msg = str(info.value)
+    assert "does not lie after the current event" in msg
+    assert f"at t = {params.p1!r}, x = " in msg and msg.endswith(f"at {params}")

@@ -341,3 +341,25 @@ def test_affine_map_validation():
         classify(Params(1e300, 1e-300, 1e300, 1.0))
     with pytest.raises(ValueError, match=r"\(b = nan, d = nan\)"):
         classify(Params(1e300, 1e300, 1e300, 1e300))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0), st.floats(0.3, 5.0), st.floats(0.75, 5.0))
+def test_property_extreme_level_ratios_get_verdicts(e1, e2, p1, p2):
+    # a zero that rounds onto the current knot ends that candidate's
+    # propagation in DegenerateStall, reported as its ShapeInvalid reason
+    verdicts = classify(Params(10.0**e1, 10.0**e2, p1, p2))
+    assert verdicts
+    for v in verdicts:
+        assert v.validated == (v.kind in ("StableT", "UnstableT", "Stable2T"))
+
+
+def test_classify_reports_a_stalled_candidate_as_shape_invalid():
+    params = Params(6.80590627692909e-08, 89821109.01055714,
+                    3.0579782907825916, 2.5215713441926413)
+    verdicts = classify(params)
+    assert [v.kind for v in verdicts] == ["Diverges2T", "ShapeInvalid"]
+    reason = verdicts[1].reason
+    assert reason.startswith("unstable two-zero candidate: zero does not lie after the "
+                             f"current event at t = {params.p1!r}, x = ")
+    assert ", x = " in reason and reason.endswith(f"at {params}")
