@@ -13,6 +13,11 @@ piecewise affine, and the dynamics is advanced exactly from event to event:
 The event budget grows with the span; a run whose budget exceeds
 model.MAX_WORK is refused before it starts.
 
+propagate wraps the private loop _event_loop, which also lists the times
+of the 0.0 knots it places: the zeros of the path, which maps' validators
+read without a PiecewisePath or a zeros() pass.  Where rounding may leave a
+zero the loop did not place, that path's list comes from zeros().
+
 A constant nonzero history pins the feedback sign on the first delay
 interval, and every later zero is a transversal crossing, so the construction
 never consults f(0).  Zeros of such solutions are always separated by more
@@ -88,15 +93,20 @@ class PiecewisePath:
 
     def value_at(self, t: float) -> float:
         """Evaluate the path at time t inside [start_time, end_time]."""
-        t0, t1 = self.times[0], self.times[-1]
-        if not (t0 - TIME_TOL <= t <= t1 + TIME_TOL):  # NaN fails too
-            raise ValueError(f"time {t!r} outside path range [{t0}, {t1}]")
-        t = min(max(t, t0), t1)
-        i = bisect_right(self.times, t) - 1
-        i = min(max(i, 0), len(self.times) - 2)
-        ta, tb = self.times[i], self.times[i + 1]
-        va, vb = self.values[i], self.values[i + 1]
-        return va + (vb - va) * (t - ta) / (tb - ta)
+        return _value_at(self.times, self.values, t)
+
+
+def _value_at(times, values, t: float) -> float:
+    """Value at time t of the path with these knots; PiecewisePath.value_at."""
+    t0, t1 = times[0], times[-1]
+    if not (t0 - TIME_TOL <= t <= t1 + TIME_TOL):  # NaN fails too
+        raise ValueError(f"time {t!r} outside path range [{t0}, {t1}]")
+    t = min(max(t, t0), t1)
+    i = bisect_right(times, t) - 1
+    i = min(max(i, 0), len(times) - 2)
+    ta, tb = times[i], times[i + 1]
+    va, vb = values[i], values[i + 1]
+    return va + (vb - va) * (t - ta) / (tb - ta)
 
 
 def propagate(
@@ -112,6 +122,15 @@ def propagate(
     path covers [start_time, t_end].  The coefficient is tied to the global
     clock, so start_time selects a phase of the coefficient pattern.
     """
+    times, values, _ = _event_loop(params, history.h, t_end, start_time)
+    return PiecewisePath(start_time=start_time, times=tuple(times), values=tuple(values))
+
+
+def _event_loop(
+    params: Params, h: float, t_end: float, start_time: float
+) -> tuple[list[float], list[float], list[float]]:
+    """propagate's loop from the finite nonzero history value h: the knot
+    times and values as lists, and zeros() of the path they make."""
     if not math.isfinite(start_time):
         raise ValueError(f"start_time must be finite, got {start_time!r}")
     if not math.isfinite(t_end) or t_end <= start_time + TIME_TOL:
@@ -122,12 +141,15 @@ def propagate(
         raise ValueError(f"a span of {span:.6g} allows up to {1000 + span * rate:.3g} "
                          f"events, above the cap {MAX_WORK:,}")
     budget = 1000 + int(span * rate)
-    h = history.h
     t, x = start_time, h
     times = [t]
     values = [x]
-    add_time, add_value = times.append, values.append
+    zs: list[float] = []
+    add_time, add_value, add_zero = times.append, values.append, zs.append
     tol, inf = TIME_TOL, math.inf
+    # a step is longer than TIME_TOL / 3, so it moves x off a zero by
+    # level * step, which can round to 0.0 only for levels below 1e-280
+    placed_all = min(params.a1, params.a2) > 1e-280
     fb = 1.0 if h < 0.0 else -1.0
     t_flip = inf  # pending feedback flip time; at most one is ever pending
     # level on the current piece; a switch within TIME_TOL of t counts as passed
@@ -160,10 +182,16 @@ def propagate(
                 # else the zero lands on the event time itself
                 add_time(t_stop)
                 add_value(0.0)
+                add_zero(t_stop)
                 t, x = t_stop, 0.0
                 t_flip = t + 1.0
                 continue
-        x += slope * (t_stop - t)
+            x_new = x + slope * (t_stop - t)
+            if x_new == 0.0 or (x_new < 0.0) != (x < 0.0):
+                placed_all = False  # rounding reached zero where the closed form did not
+            x = x_new
+        else:
+            x += slope * (t_stop - t)
         t = t_stop
         add_time(t)
         add_value(x)
@@ -171,8 +199,12 @@ def propagate(
             t_flip = inf
             fb = -fb
     if times[-1] < t_end:  # an event landed within TIME_TOL of t_end
+        if zs and zs[-1] == times[-1]:
+            zs[-1] = t_end
         times[-1] = t_end
-    return PiecewisePath(start_time=start_time, times=tuple(times), values=tuple(values))
+    if not placed_all:
+        zs = zeros(PiecewisePath(start_time, tuple(times), tuple(values)))
+    return times, values, zs
 
 
 def zeros(path: PiecewisePath) -> list[float]:

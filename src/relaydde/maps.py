@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .exact import ConstantHistory, DegenerateStall, propagate, zeros
+from .exact import DegenerateStall, _event_loop, _value_at
 from .model import Params, RelayDDEError
 
 STABLE_T = "StableT"
@@ -136,22 +136,20 @@ class Classification:
 def _validate_two_zero(params: Params, h: float) -> tuple[bool, str]:
     """Propagate one period and check the two-zero shape and exact return."""
     T = params.period
-    path = propagate(params, ConstantHistory(h), T)
-    zs = zeros(path)
+    _, values, zs = _event_loop(params, h, T, 0.0)
     if len(zs) != 2:
         return False, f"expected 2 zeros in one period, found {len(zs)}"
     if zs[-1] >= T - 1.0 + 1e-12:
         return False, "second zero lands within one delay of the period end"
-    if abs(path.end_value - h) > RETURN_TOL * max(1.0, abs(h)):
-        return False, f"period endpoint {path.end_value!r} does not return to {h!r}"
+    if abs(values[-1] - h) > RETURN_TOL * max(1.0, abs(h)):
+        return False, f"period endpoint {values[-1]!r} does not return to {h!r}"
     return True, ""
 
 
 def _validate_one_zero(params: Params, h: float) -> tuple[bool, str]:
     """Propagate two periods and check one zero per period with x(T) = -h."""
     T = params.period
-    path = propagate(params, ConstantHistory(h), 2.0 * T)
-    zs = zeros(path)
+    times, values, zs = _event_loop(params, h, 2.0 * T, 0.0)
     per1 = sum(1 for z in zs if z < T)
     per2 = sum(1 for z in zs if T <= z < 2.0 * T)
     if per1 != 1 or per2 != 1 or len(zs) != 2:
@@ -159,10 +157,10 @@ def _validate_one_zero(params: Params, h: float) -> tuple[bool, str]:
     if zs[-1] >= 2.0 * T - 1.0 + 1e-12:
         return False, "second zero lands within one delay of the horizon end"
     scale = max(1.0, abs(h))
-    if abs(path.value_at(T) + h) > RETURN_TOL * scale:
+    if abs(_value_at(times, values, T) + h) > RETURN_TOL * scale:
         return False, "half-orbit endpoint does not mirror the starting level"
-    if abs(path.end_value - h) > RETURN_TOL * scale:
-        return False, f"two-period endpoint {path.end_value!r} does not return to {h!r}"
+    if abs(values[-1] - h) > RETURN_TOL * scale:
+        return False, f"two-period endpoint {values[-1]!r} does not return to {h!r}"
     return True, ""
 
 
@@ -210,11 +208,15 @@ def _verdicts(params: Params) -> tuple[float, float, float, float, bool, list[tu
         if not applies(m, b, k, d):
             continue
         h = level(m, b, k, d)
-        try:
-            ok, why = (validate(params, h) if h < 0.0
-                       else (False, "starting level is not negative"))
-        except DegenerateStall as exc:  # e.g. a zero that rounds onto its knot
-            ok, why = False, str(exc)
+        if not math.isfinite(h):  # b / (m - 1) or d / (k + 1) overflowed
+            ok, why, h = False, "starting level is not finite", None
+        elif not h < 0.0:
+            ok, why = False, "starting level is not negative"
+        else:
+            try:
+                ok, why = validate(params, h)
+            except DegenerateStall as exc:  # e.g. a zero that rounds onto its knot
+                ok, why = False, str(exc)
         if ok:
             out.append((kind, (h, -h) if periods == 2 else h, periods * params.period, True, ""))
         else:

@@ -43,11 +43,17 @@ class Params:
     p2: float
 
     def __post_init__(self) -> None:
-        for name in ("a1", "a2", "p1", "p2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, v)
+        a1, a2, p1, p2 = self.a1, self.a2, self.p1, self.p2
+        # four positive finite floats need no conversion; anything else takes
+        # the loop, which converts, or names the first offending field
+        if not (float is type(a1) is type(a2) is type(p1) is type(p2)
+                and 0.0 < a1 < math.inf > a2 > 0.0 < p1 < math.inf > p2 > 0.0):
+            for name in ("a1", "a2", "p1", "p2"):
+                v = float(getattr(self, name))
+                if not math.isfinite(v) or v <= 0.0:
+                    raise ValueError(f"{name} must be positive and finite, "
+                                     f"got {getattr(self, name)!r}")
+                object.__setattr__(self, name, v)
         if self.p1 + self.p2 <= 1.0:
             raise ValueError("period p1 + p2 must exceed the delay 1")
 

@@ -446,6 +446,30 @@ def test_classify_reports_a_stalled_candidate_and_exits_zero(capsys):
     assert "does not lie after the current event at t = " in verdicts[1]["reason"]
 
 
+def _strict_json(text):
+    """Parse JSON and refuse the NaN and Infinity that strict JSON lacks."""
+    def refuse(name):
+        raise AssertionError(f"non-finite {name} in JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--a1", "3e307", "--a2", "2.97e307", "--p1", "0.6", "--p2", "0.6"],
+    ["scan", "--a1", "3e307", "--a2", "2.97e307", "--p1", "0.6", "--p2", "0.6",
+     "--resolution", "2"],
+], ids=["classify", "scan"])
+def test_overflowed_candidate_levels_exit_zero_with_finite_json(argv):
+    done = _run_cli(argv)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    payload = _strict_json(done.stdout)
+    if argv[0] == "classify":
+        assert [v["reason"] for v in payload["verdicts"]] == [
+            "stable two-zero candidate: starting level is not finite",
+            "one-zero two-cycle candidate: starting level is not finite",
+        ]
+
+
 def test_non_finite_state_names_where_it_happened():
     done = _run_cli(["simulate", "--a1", "1e308", "--a2", "1e308", "--p1", "1", "--p2", "1",
                      "--h=-1e308", "--delta", "0.1", "--t-end", "3"])

@@ -7,15 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relaydde import exact as exact_module
+from relaydde.analysis import scan
 from relaydde.exact import (
     ConstantHistory,
     DegenerateStall,
     PiecewisePath,
+    _event_loop,
     path_sup_distance,
     propagate,
     zeros,
 )
+from relaydde.maps import classify
 from relaydde.model import Params, coefficient_value
+from relaydde.tables import ROWS
 
 from _euler import euler_reference
 from _events import propagate_reference
@@ -319,3 +324,112 @@ def test_zero_rounding_onto_the_current_knot_stalls_with_its_place():
     msg = str(info.value)
     assert "does not lie after the current event" in msg
     assert f"at t = {params.p1!r}, x = " in msg and msg.endswith(f"at {params}")
+
+
+# --- the event loop's own zero list ------------------------------------------
+
+
+@PROPERTY_RUNS
+@given(runs())
+def test_property_event_loop_knots_and_zeros_match_the_reference(run):
+    params, h, start, t_end = run
+    times, values, zs = _event_loop(params, h, t_end, start)
+    ref = propagate_reference(params, ConstantHistory(h), t_end, start_time=start)
+    assert tuple(times) == ref.times
+    assert tuple(values) == ref.values
+    assert zs == zeros(ref)
+
+
+@st.composite
+def extreme_runs(draw):
+    """runs() with levels and history log-uniform in 10^[-8, 8]."""
+    a1, a2 = (10.0 ** draw(st.floats(-8.0, 8.0)) for _ in range(2))
+    p1 = draw(stretches)
+    p2 = draw(st.floats(max(0.1, 1.0 - p1 + 1e-3), 5.0))
+    params = Params(a1, a2, p1, p2)
+    h = 10.0 ** draw(st.floats(-8.0, 8.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    start = draw(st.sampled_from((0.0, p1, None)))
+    if start is None:
+        start = draw(st.floats(-50.0, 50.0))
+    return params, h, start, start + draw(st.floats(0.5, 8.0)) * params.period
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(extreme_runs())
+def test_property_event_loop_zeros_at_extreme_level_ratios(run):
+    params, h, start, t_end = run
+    try:
+        ref = propagate_reference(params, ConstantHistory(h), t_end, start_time=start)
+    except (ValueError, DegenerateStall):  # a knot-order error there is a stall here
+        with pytest.raises(DegenerateStall):
+            _event_loop(params, h, t_end, start)
+        return
+    times, values, zs = _event_loop(params, h, t_end, start)
+    assert (tuple(times), tuple(values)) == (ref.times, ref.values)
+    assert zs == zeros(ref)
+
+
+def test_a_zero_knot_moved_onto_t_end_moves_in_the_zero_list():
+    # the zero at t = 1 lands on the switch at p1 = 1, within TIME_TOL of
+    # t_end, and the last knot is moved onto t_end
+    t_end = 1.0 + 5e-13
+    times, values, zs = _event_loop(Params(1.0, 1.0, 1.0, 1.0), -1.0, t_end, 0.0)
+    assert (times, values) == ([0.0, t_end], [-1.0, 0.0])
+    assert zs == [t_end]
+
+
+def _counting_zeros(monkeypatch):
+    calls = []
+    real = exact_module.zeros
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(exact_module, "zeros", counting)
+    return calls
+
+
+def test_rounding_onto_zero_falls_back_to_zeros(monkeypatch):
+    # h = -fl(a1 * p1): the closed-form zero fl(-h / a1) lies 7e-12 after the
+    # switch at p1, but x(p1) = h + fl(a1 * p1) is exactly 0.0
+    a1, p1 = 1.2593540143280078, 61716.548052334816
+    params, h, t_end = Params(a1, 3.0, p1, 1.0), -(a1 * p1), p1 + 0.5
+    calls = _counting_zeros(monkeypatch)
+    times, values, zs = _event_loop(params, h, t_end, 0.0)
+    assert values[1] == 0.0 and times[1] == p1 and -h / a1 > p1 + 1e-12
+    assert len(calls) == 1
+    assert zs == zeros(propagate_reference(params, ConstantHistory(h), t_end)) == [p1]
+
+
+def test_levels_too_small_to_leave_zero_fall_back_to_zeros(monkeypatch):
+    # a level below 1e-280 times a step can round to 0.0, so the path can
+    # stay on zero after the loop placed one
+    params = Params(1e-320, 1e-320, 1.0, 1.0)
+    calls = _counting_zeros(monkeypatch)
+    times, values, zs = _event_loop(params, -5e-324, 6.0, 0.0)
+    assert len(calls) == 1
+    assert zs == zeros(PiecewisePath(0.0, tuple(times), tuple(values)))
+    assert len(zs) > 1
+
+
+def test_validators_build_no_path_and_run_no_zeros_pass(monkeypatch):
+    # scan and classify validate every candidate on the event loop's own
+    # knots and zero list
+    calls = _counting_zeros(monkeypatch)
+    built = []
+    real_path = exact_module.PiecewisePath
+
+    def counting_path(*args, **kwargs):
+        built.append(args)
+        return real_path(*args, **kwargs)
+
+    monkeypatch.setattr(exact_module, "PiecewisePath", counting_path)
+    rep = scan((0.5, 1.5), (0.1, 0.5), (0.25, 3.5), (0.25, 2.5), 6)
+    verdicts = [v for row in ROWS for v in classify(row.params)]
+    assert {"StableT", "Stable2T"} <= {kind for c in rep.cells for kind in c.kinds}
+    assert {"StableT", "UnstableT", "Stable2T"} <= {v.kind for v in verdicts if v.validated}
+    assert calls == [] and built == []
+    # the wrappers count what they wrap
+    exact_module.zeros(propagate(Params(1.0, 0.25, 2.5, 1.5), ConstantHistory(-0.25), 4.0))
+    assert len(calls) == 1 and len(built) == 1

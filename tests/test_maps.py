@@ -363,3 +363,15 @@ def test_classify_reports_a_stalled_candidate_as_shape_invalid():
     assert reason.startswith("unstable two-zero candidate: zero does not lie after the "
                              f"current event at t = {params.p1!r}, x = ")
     assert ", x = " in reason and reason.endswith(f"at {params}")
+
+
+def test_classify_reports_an_overflowed_candidate_level_as_shape_invalid():
+    # m and b are finite, but b / (m - 1) with m - 1 = -0.02 overflows to
+    # -inf, and so does -d / (k + 1); neither is propagated
+    verdicts = classify(Params(3e307, 2.97e307, 0.6, 0.6))
+    assert [v.kind for v in verdicts] == ["ShapeInvalid", "ShapeInvalid"]
+    assert [v.reason for v in verdicts] == [
+        "stable two-zero candidate: starting level is not finite",
+        "one-zero two-cycle candidate: starting level is not finite",
+    ]
+    assert all(v.h_star is None and v.period is None for v in verdicts)

@@ -33,6 +33,33 @@ def test_params_rejects_bad_values(bad):
         Params(**bad)
 
 
+@pytest.mark.parametrize("args, error, text", [
+    ((-1, "x", 1, 1), ValueError, "a1 must be positive and finite, got -1"),
+    ((1, 1, math.nan, -2), ValueError, "p1 must be positive and finite, got nan"),
+    ((1.0, 2.0, 3.0, -0.0), ValueError, "p2 must be positive and finite, got -0.0"),
+    ((1, 1, 1, "nan"), ValueError, "p2 must be positive and finite, got 'nan'"),
+    ((1.0, -math.inf, 1.0, 1.0), ValueError, "a2 must be positive and finite, got -inf"),
+    # the conversion's own error when the first offending field cannot convert
+    ((1, "x", -1, 1), ValueError, "could not convert string to float: 'x'"),
+    ((None, -1, 1, 1), TypeError,
+     "float() argument must be a string or a real number, not 'NoneType'"),
+    (("2", 1, 0.5, 0.4), ValueError, "period p1 + p2 must exceed the delay 1"),
+])
+def test_params_names_the_first_offending_field(args, error, text):
+    # fields are checked in a1, a2, p1, p2 order, each message with the
+    # field's original repr; the texts are those of the per-field loop
+    with pytest.raises(error) as info:
+        Params(*args)
+    assert str(info.value) == text
+
+
+def test_params_converts_every_field_to_float():
+    for args in (("2", "3", "1.5", "0.5"), (2, 3, True, 1), (np.float64(2.0), 3.0, 1.5, 0.5)):
+        p = Params(*args)
+        assert (p.a1, p.a2, p.p1, p.p2) == tuple(float(v) for v in args)
+        assert {type(v) for v in (p.a1, p.a2, p.p1, p.p2)} == {float}
+
+
 def test_smoothing_spec_validation():
     s = SmoothingSpec(delta=0.25, profile="smoothexp")
     assert s.profile is Profile.SMOOTHEXP
