@@ -184,11 +184,12 @@ def _crossing_time(t0: float, t1: float, x0: float, d0: float, x1: float,
     if f0 == 0.0 or (f0 > 0.0) == (f1 > 0.0):
         return None
     dt = t1 - t0
+    xs, ds = (x0, x1), (d0, d1)
     lo, hi = 0.0, 1.0
     flo = f0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        fm = _hermite_at((x0, x1), (d0, d1), 0, mid, dt) - level
+        fm = _hermite_at(xs, ds, 0, mid, dt) - level
         if fm == 0.0:
             return t0 + mid * dt
         if (fm > 0.0) == (flo > 0.0):
@@ -289,27 +290,26 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
     ki = 0  # the chunk ending at knots[ki] is the next to walk
     j0 = 0  # steps of that chunk already taken
     while ki < len(knots):
-        # one pass: the chunks ending at knots[ki:kj], step by step
+        # one pass: the chunks ending at knots[ki:kj], step by step; a chunk
+        # takes nsub even steps, the first chunk's first j0 of them already
         kj = ki + 1
         while kj < len(knots) and knots[kj] - 1.0 <= t:
             kj += 1
-        ends = np.array(knots[ki:kj])
-        starts = np.array([knots[ki - 1] if ki else 0.0] + knots[ki:kj - 1])
-        nsub = np.maximum(1, np.ceil((ends - starts) / step - 1e-12)).astype(np.intp)
-        sub = (ends - starts) / nsub
-        todo = nsub.copy()
-        todo[0] -= j0
-        first = np.cumsum(todo) - todo  # index of each chunk's first step in the pass
-        c = np.repeat(np.arange(kj - ki), todo)
-        jj = np.arange(len(c)) - first[c]
-        jj[c == 0] += j0
-        t0 = starts[c] + jj * sub[c]
-        t1 = starts[c] + (jj + 1) * sub[c]
-        last = jj == nsub[c] - 1
-        t1[last] = ends[c[last]]
+        start, j = (knots[ki - 1] if ki else 0.0), j0
+        grid, subs, counts = [], [], []
+        for end in knots[ki:kj]:
+            nsub = max(1, math.ceil((end - start) / step - 1e-12))
+            sub = (end - start) / nsub
+            grid.append(np.arange(j, nsub) * sub + start)
+            subs.append(sub)
+            counts.append(nsub - j)
+            start, j = end, 0
+        grid.append((knots[kj - 1],))
+        pts = np.concatenate(grid)  # each step's left end, then the pass's last knot
         # the steps whose history is stored: all unless a chunk outlasts the delay
-        m = int(np.searchsorted(t1 - 1.0, t, side="right"))
-        t0, t1, sub_c = t0[:m], t1[:m], sub[c[:m]]
+        m = int(np.searchsorted(pts[1:] - 1.0, t, side="right"))
+        t0, t1 = pts[:m], pts[1:m + 1]
+        sub_c = np.repeat(subs, counts)[:m]
         # rhs at every midpoint and right end of the pass
         g = rhs(np.concatenate([t0 + 0.5 * sub_c, t1]))
         g_mid, g_right = g[:m], g[m:]
@@ -327,11 +327,16 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
                 f"x = {float(xs[j])!r} at t = {float(t0[j])!r}) at {params}, "
                 f"delta = {delta!r}")
         # _crossing_time's test: x - level is zero after the step, or changes
-        # sign from nonzero before it
+        # sign from nonzero before it. The crossings come in step order, and
+        # none is searched from the first step with t0 + 1 >= t_end - BREAK_TOL
+        # on: push_echo would drop its knot, as tau >= t0 and rounding is monotone
         above = xs[:, None] > levels
         on = xs[:, None] == levels
         for j, k in zip(*np.nonzero(on[1:] | ((above[:-1] != above[1:]) & ~on[:-1]))):
-            tau = _crossing_time(float(t0[j]), float(t1[j]), float(xs[j]), float(g_left[j]),
+            left = float(t0[j])
+            if left + 1.0 >= t_end - BREAK_TOL:
+                break
+            tau = _crossing_time(left, float(t1[j]), float(xs[j]), float(g_left[j]),
                                  float(xs[j + 1]), float(g_right[j]), float(levels[k]))
             if tau is not None:
                 push_echo(tau)
@@ -341,7 +346,7 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
         buf[:, n:n + m] = (t1, xs[1:], g_right)
         n += m
         t = float(t1[-1])
-        if m < len(jj):
+        if m < len(pts) - 1:
             j0 += m
         else:
             ki, j0 = kj, 0
@@ -389,21 +394,22 @@ def compare_exact_smoothed(params: Params, h: float, sol: DenseSolution) -> dict
     sol is a smoothed solution that the caller integrated, from h or from a
     shifted start, at the half-width it records; the exact solution starts
     from the constant history h and runs to sol's end. Deviations are read
-    at sol's samples from t = 0 on and at their midpoints, and reported
-    overall and outside the corner windows, where the O(delta) corner
-    mismatch sits. No integration is run here.
+    at sol's stored samples from t = 0 on, as their own values (which the
+    interpolant returns there), and at the interpolated midpoints between
+    them, and reported overall and outside the corner windows, where the
+    O(delta) corner mismatch sits. Both are maxima, so the query times are
+    neither sorted nor deduplicated. No integration is run here.
     """
     import numpy as np
     t_end = sol.end_time
     exact_path = propagate(params, ConstantHistory(h), t_end)
 
     keep = sol.times >= 0.0
-    base_ts = sol.times[keep]
-    mids = 0.5 * (base_ts[:-1] + base_ts[1:])
-    ts = np.unique(np.concatenate([base_ts, mids]))
-
-    xe = np.interp(ts, exact_path.times, exact_path.values)
-    dev = np.abs(sol.values_at(ts) - xe)
+    samples = sol.times[keep]
+    mids = 0.5 * (samples[:-1] + samples[1:])
+    ts = np.concatenate([samples, mids])
+    xs = np.concatenate([sol.values[keep], sol.values_at(mids)])
+    dev = np.abs(xs - np.interp(ts, exact_path.times, exact_path.values))
 
     windows = corner_windows(params, sol.smoothing.delta, path_zeros(exact_path), t_end)
     outside = np.ones(len(ts), dtype=bool)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _compare import compare_reference
 from _halving import step_halving_estimate
 from _multiplier import one_period_multiplier
 from _stepwise import coefficient_value, nonlinearity_value, stepwise_integrate
@@ -274,6 +275,29 @@ def test_property_integrate_matches_the_stepwise_reference(run):
     assert sol.values.tobytes() == np.array(values).tobytes()
     assert sol.derivs.tobytes() == np.array(derivs).tobytes()
     assert (sol.events, sol.step) == (events, step)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(integrate_runs().filter(lambda run: run[2] != 0.0))
+def test_property_compare_matches_the_reference(run):
+    params, _, h, _, _ = run
+    sol = integrate(*run)
+    got, want = compare_exact_smoothed(params, h, sol), compare_reference(params, h, sol)
+    assert got.keys() == want.keys()
+    for key in ("max_dev_outside_corners", "max_dev_overall"):
+        assert got[key].hex() == want[key].hex()
+    assert got["corner_windows"] == want["corner_windows"]
+
+
+@pytest.mark.parametrize("profile", tuple(Profile))
+@pytest.mark.parametrize("t_end", (6.0, 6.37))
+def test_values_at_returns_the_stored_values_at_the_stored_times(profile, t_end):
+    sol = integrate(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.05, profile), 0.6, t_end)
+    assert (t_end / sol.step).is_integer() == (t_end == 6.0)  # 6.37 is off the step grid
+    assert sol.times[1] == sol.times[2] == 0.0  # the history junction's two copies
+    keep = sol.times >= 0.0
+    assert sol.values_at(sol.times[keep]).tobytes() == sol.values[keep].tobytes()
+    assert sol.values_at(sol.end_time) == sol.values[-1]
 
 
 def test_integrate_checks_the_geometry_once(monkeypatch):
