@@ -28,125 +28,50 @@ validated by exact propagation before it is reported.  Its core,
 maps._verdicts, returns plain tuples, which classify wraps into records and
 scan reads directly.  The other modules
 return records (frozen dataclasses, named tuples, dicts), never text.
-numpy loads on first use, only when numeric integrates or compares a
-smoothed solution, so the exact and return-map work runs without it.
+Each submodule loads on first access to one of its names (or to the
+submodule itself), so a CLI command loads only the modules it runs, and
+numpy loads only when numeric integrates or compares a smoothed solution:
+the exact and return-map work runs without it.
 """
 
-from .analysis import (
-    CoexistenceReport,
-    ConvergenceFailed,
-    ConvergenceRow,
-    ConvergenceTable,
-    PairingFailed,
-    RowResult,
-    ScanCell,
-    ScanReport,
-    coexistence_check,
-    grade_row,
-    reproduce_tables,
-    scan,
-    smoothing_convergence,
-)
-from .exact import (
-    ConstantHistory,
-    DegenerateStall,
-    PiecewisePath,
-    path_sup_distance,
-    propagate,
-    zeros,
-)
-from .maps import (
-    DIVERGES_2T,
-    SHAPE_INVALID,
-    STABLE_2T,
-    STABLE_T,
-    UNSTABLE_T,
-    BasinDescriptor,
-    Classification,
-    HZero,
-    MIsOne,
-    NoCycle,
-    NotApplicable,
-    apply_F,
-    basin,
-    classify,
-    dual_params,
-    type1_coefficients,
-    type1_fixed_point,
-    type2_coefficients,
-    type2_two_cycle,
-)
-from .model import (
-    Params,
-    Profile,
-    RelayDDEError,
-    SmoothingSpec,
-    coefficient_value,
-    validate_geometry,
-)
-from .numeric import (
-    DenseSolution,
-    NonFiniteState,
-    compare_exact_smoothed,
-    corner_windows,
-    integrate,
-    run_step,
-)
-from .tables import ROWS, TableRow
+# each public name by the submodule that defines it; a name is imported on
+# first access and then cached in this module's globals
+_EXPORTS = {
+    "analysis": ("CoexistenceReport", "ConvergenceFailed", "ConvergenceRow",
+                 "ConvergenceTable", "PairingFailed", "RowResult", "ScanCell", "ScanReport",
+                 "coexistence_check", "grade_row", "reproduce_tables", "scan",
+                 "smoothing_convergence"),
+    "exact": ("ConstantHistory", "DegenerateStall", "PiecewisePath", "path_sup_distance",
+              "propagate", "zeros"),
+    "maps": ("DIVERGES_2T", "SHAPE_INVALID", "STABLE_2T", "STABLE_T", "UNSTABLE_T",
+             "BasinDescriptor", "Classification", "HZero", "MIsOne", "NoCycle",
+             "NotApplicable", "apply_F", "basin", "classify", "dual_params",
+             "type1_coefficients", "type1_fixed_point", "type2_coefficients",
+             "type2_two_cycle"),
+    "model": ("Params", "Profile", "RelayDDEError", "SmoothingSpec", "coefficient_value",
+              "validate_geometry"),
+    "numeric": ("DenseSolution", "NonFiniteState", "compare_exact_smoothed", "corner_windows",
+                "integrate", "run_step"),
+    "tables": ("ROWS", "TableRow"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BasinDescriptor",
-    "Classification",
-    "CoexistenceReport",
-    "ConstantHistory",
-    "ConvergenceFailed",
-    "ConvergenceRow",
-    "ConvergenceTable",
-    "DIVERGES_2T",
-    "DegenerateStall",
-    "DenseSolution",
-    "HZero",
-    "MIsOne",
-    "NoCycle",
-    "NonFiniteState",
-    "NotApplicable",
-    "PairingFailed",
-    "Params",
-    "PiecewisePath",
-    "Profile",
-    "ROWS",
-    "RelayDDEError",
-    "RowResult",
-    "SHAPE_INVALID",
-    "STABLE_2T",
-    "STABLE_T",
-    "ScanCell",
-    "ScanReport",
-    "SmoothingSpec",
-    "TableRow",
-    "UNSTABLE_T",
-    "apply_F",
-    "basin",
-    "classify",
-    "coefficient_value",
-    "coexistence_check",
-    "compare_exact_smoothed",
-    "corner_windows",
-    "dual_params",
-    "grade_row",
-    "integrate",
-    "path_sup_distance",
-    "propagate",
-    "reproduce_tables",
-    "run_step",
-    "scan",
-    "smoothing_convergence",
-    "type1_coefficients",
-    "type1_fixed_point",
-    "type2_coefficients",
-    "type2_two_cycle",
-    "validate_geometry",
-    "zeros",
-]
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _EXPORTS:  # a submodule, which importing binds here
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    hidden = {"_EXPORTS", "_HOME", "__getattr__", "__dir__"}
+    return sorted({*globals(), *_HOME, *_EXPORTS} - hidden)

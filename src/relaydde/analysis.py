@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import ConstantHistory, PiecewisePath, path_sup_distance, propagate
 from .maps import (SHAPE_INVALID, STABLE_2T, STABLE_T, UNSTABLE_T, _verdicts, classify,
                    dual_params)
 from .model import MAX_WORK, Params, RelayDDEError, SmoothingSpec
-from .numeric import compare_exact_smoothed, integrate, run_step
-from .tables import ROWS, TableRow
+
+if TYPE_CHECKING:
+    from .tables import TableRow
 
 SHIFT_TOL = 1e-9
 ATTRACTION_TOL = 1e-6
@@ -97,6 +98,8 @@ def grade_row(row: TableRow) -> RowResult:
 
 def reproduce_tables() -> list[RowResult]:
     """Grade every embedded benchmark row."""
+    from .tables import ROWS
+
     return [grade_row(row) for row in ROWS]
 
 
@@ -302,6 +305,8 @@ def smoothing_convergence(params: Params, h: float, deltas,
     outside-corner residual, a max over some of the same deviations, is at
     most C * delta.
     """
+    from .numeric import compare_exact_smoothed, integrate, run_step
+
     ds = tuple(float(d) for d in deltas)
     if not ds:
         raise ValueError("deltas must be a non-empty decreasing list")

@@ -28,26 +28,19 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterable
+from contextlib import nullcontext
 from dataclasses import asdict
+from itertools import chain, islice
 from pathlib import Path
 
-from .analysis import (
-    coexistence_check,
-    reproduce_tables,
-    scan as run_scan,
-    smoothing_convergence,
-)
-from .exact import ConstantHistory, propagate, zeros
-from .maps import NotApplicable, basin, classify
 from .model import Params, Profile, RelayDDEError, SmoothingSpec
-from .numeric import integrate
 
+_CHUNK = 512  # rows of an all-float CSV table formatted per write
 _Flags = dict[str, argparse.Action]
 
 
@@ -161,29 +154,42 @@ def _resolve_output(path_str: str) -> Path:
 
 
 def _emit(args: argparse.Namespace, record: Callable[[], object], header: list[str],
-          rows: Iterable[Iterable], summary: str | None = None) -> None:
+          rows: Iterable[Iterable], summary: str | None = None, floats: bool = False) -> None:
     """Write record() as JSON, or header and rows as CSV (None empty, a float
     by repr: cells must be Python floats, not numpy scalars), to stdout, or to
-    --output and then the summary line, if any, to stdout."""
+    --output and then the summary line, if any, to stdout.
+
+    The CSV is written as the rows come, never held whole. floats=True says
+    that every cell is a float, so one %r template formats each row, _CHUNK
+    rows per write, with the bytes csv.writer would write.
+    """
     if args.format == "json":
         text = json.dumps(record(), indent=2, allow_nan=False) + "\n"
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            _resolve_output(args.output).write_text(text)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    if args.output is None:
-        sys.stdout.write(text)
-        return
-    _resolve_output(args.output).write_text(text)
-    if summary is not None:
+        with (nullcontext(sys.stdout) if args.output is None
+              else _resolve_output(args.output).open("w")) as out:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            if not floats:
+                writer.writerows(rows)
+            else:
+                template = ",".join(["%r"] * len(header)) + "\n"
+                rows = iter(rows)
+                while chunk := list(islice(rows, _CHUNK)):
+                    out.write("".join(map(template.__mod__, chunk)))
+    if args.output is not None and summary is not None:
         print(summary)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = _params(args)
     if args.delta == 0.0:
+        from .exact import ConstantHistory, propagate, zeros
+
         for name in ("step", "profile"):
             if getattr(args, name) is not None:
                 raise ValueError(f"--{name} applies only with --delta > 0; "
@@ -197,23 +203,30 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                           "slope": (x1 - x0) / (t1 - t0)}
                          for t0, t1, x0, x1 in zip(ts, ts[1:], xs, xs[1:])],
             "zeros": zeros(path),
-        }, ["t", "x"], path.breakpoints)
+        }, ["t", "x"], zip(ts, xs), floats=True)
     else:
+        from .numeric import integrate
+
         spec = SmoothingSpec(delta=args.delta, profile=Profile(args.profile or "affine"))
         sol = integrate(params, spec, args.h, args.t_end, step=args.step)
-        times, values, derivs = sol.times.tolist(), sol.values.tolist(), sol.derivs.tolist()
+        columns = (sol.times, sol.values, sol.derivs)
+        # Python floats for _CHUNK rows at a time, so the table is never held whole
+        rows = chain.from_iterable(zip(*(c[i:i + _CHUNK].tolist() for c in columns))
+                                   for i in range(0, len(sol.times), _CHUNK))
         _emit(args, lambda: {
             "start_time": sol.start_time,
             "step": sol.step,
-            "times": times,
-            "values": values,
-            "derivs": derivs,
+            "times": sol.times.tolist(),
+            "values": sol.values.tolist(),
+            "derivs": sol.derivs.tolist(),
             "events": sol.events,
-        }, ["t", "x", "dx"], zip(times, values, derivs))
+        }, ["t", "x", "dx"], rows, floats=True)
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .maps import NotApplicable, basin, classify
+
     params = _params(args)
     verdicts = classify(params)
     try:
@@ -235,6 +248,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from .analysis import reproduce_tables
+
     results = reproduce_tables()
     for res in results:  # the PASS/FAIL report, one line per row, on stdout
         row, p = res.row, res.row.params
@@ -258,12 +273,14 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .analysis import scan
+
     span = args.span
     if not 0.0 < span < 1.0:
         raise ValueError(f"--span must lie strictly between 0 and 1, got {span}")
     centers = (args.a1, args.a2, args.p1, args.p2)
     ranges = tuple((c * (1.0 - span), c * (1.0 + span)) for c in centers)
-    report = run_scan(*ranges, args.resolution)
+    report = scan(*ranges, args.resolution)
     # cells per kind in order of first appearance, so no run depends on PYTHONHASHSEED
     counts = Counter(k for cell in report.cells for k in dict.fromkeys(cell.kinds))
     listed = ", ".join(f"{k}={n}" for k, n in sorted(counts.items()))
@@ -275,6 +292,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_smooth(args: argparse.Namespace) -> int:
+    from .analysis import smoothing_convergence
+
     params = _params(args)
     try:
         deltas = tuple(float(tok) for tok in args.deltas.split(","))
@@ -289,6 +308,8 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
 
 
 def _cmd_coexist(args: argparse.Namespace) -> int:
+    from .analysis import coexistence_check
+
     report = coexistence_check(_params(args), horizon_periods=args.horizon)
     _emit(args, lambda: asdict(report),
           ["h_unstable", "h_stable_low", "h_stable_high", "shift_sup_distance",

@@ -366,10 +366,13 @@ def corner_windows(params: Params, delta: float, zero_times, t_end: float) -> tu
     """Merged corner windows of half-width delta/min(a1,a2).
 
     One window around every coefficient switch time and one around each
-    zero time plus the delay, clipped to [0, t_end].
+    zero time plus the delay, clipped to [0, t_end]. Switches are listed
+    only up to one period past t_end: the first switch past t_end contains
+    the clipped window of every later one, so eps, which can be huge or
+    infinite, does not size the list.
     """
     eps = delta / min(params.a1, params.a2)
-    centers = [s for s, _ in switch_times(params, 0.0, t_end + eps)]
+    centers = [s for s, _ in switch_times(params, 0.0, t_end + min(eps, params.period))]
     for z in zero_times:
         c = z + 1.0
         if -eps <= c <= t_end + eps:

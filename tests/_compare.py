@@ -1,14 +1,18 @@
-"""Reference for numeric.compare_exact_smoothed, over one sorted query set.
+"""References for numeric.compare_exact_smoothed and numeric.corner_windows.
 
-Every deviation is read through the Hermite interpolant, at the sorted and
-deduplicated union of the stored samples from t = 0 on and their midpoints.
-``compare_exact_smoothed`` must return the same dict, with its maxima equal
-bit for bit.
+compare_reference reads every deviation through the Hermite interpolant, at
+the sorted and deduplicated union of the stored samples from t = 0 on and
+their midpoints. ``compare_exact_smoothed`` must return the same dict, with
+its maxima equal bit for bit.
+
+corner_windows_reference lists every switch up to t_end + eps, however far
+that is; ``corner_windows`` must return the same windows.
 """
 
 import numpy as np
 
 from relaydde.exact import ConstantHistory, propagate, zeros as path_zeros
+from relaydde.model import switch_times
 from relaydde.numeric import corner_windows
 
 
@@ -35,3 +39,25 @@ def compare_reference(params, h, sol):
         "max_dev_overall": float(dev.max()),
         "corner_windows": windows,
     }
+
+
+def corner_windows_reference(params, delta, zero_times, t_end):
+    """Merged corner windows of half-width delta/min(a1,a2), clipped to [0, t_end]."""
+    eps = delta / min(params.a1, params.a2)
+    centers = [s for s, _ in switch_times(params, 0.0, t_end + eps)]
+    for z in zero_times:
+        c = z + 1.0
+        if -eps <= c <= t_end + eps:
+            centers.append(c)
+    centers.sort()
+    merged = []
+    for c in centers:
+        lo = max(0.0, c - eps)
+        hi = min(t_end, c + eps)
+        if hi <= lo:
+            continue
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((w[0], w[1]) for w in merged)

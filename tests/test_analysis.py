@@ -307,14 +307,14 @@ def test_convergence_validation():
 
 
 def test_convergence_solves_once_per_half_width(monkeypatch):
-    import relaydde.analysis as analysis_module
+    import relaydde.numeric as numeric_module
     solved = []
 
     def counting_integrate(*args, **kwargs):
         solved.append(args[1].delta)
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(analysis_module, "integrate", counting_integrate)
+    monkeypatch.setattr(numeric_module, "integrate", counting_integrate)
     smoothing_convergence(Params(1.0, 0.25, 2.5, 1.5), -0.25, (0.2, 0.1), 5.0)
     assert solved == [0.2, 0.1]
 
@@ -322,26 +322,26 @@ def test_convergence_solves_once_per_half_width(monkeypatch):
 def test_convergence_refuses_over_the_cap_before_any_solve(monkeypatch):
     # 2000 / (0.0125 / 16) is 2.56e6 steps; the run at 0.3 must not be solved
     # before the one at 0.0125 is refused
-    import relaydde.analysis as analysis_module
+    import relaydde.numeric as numeric_module
     solved = []
 
     def counting_integrate(*args, **kwargs):
         solved.append(args[1].delta)
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(analysis_module, "integrate", counting_integrate)
+    monkeypatch.setattr(numeric_module, "integrate", counting_integrate)
     with pytest.raises(ValueError, match="above the cap 2,000,000"):
         smoothing_convergence(Params(1.0, 0.25, 2.5, 1.5), -0.25, (0.3, 0.0125), 2000.0)
     assert solved == []
 
 
 def test_convergence_refuses_a_zero_history_before_any_solve(monkeypatch):
-    import relaydde.analysis as analysis_module
+    import relaydde.numeric as numeric_module
 
     def no_integrate(*args, **kwargs):
         raise AssertionError("integrate ran before h was checked")
 
-    monkeypatch.setattr(analysis_module, "integrate", no_integrate)
+    monkeypatch.setattr(numeric_module, "integrate", no_integrate)
     with pytest.raises(ValueError, match="nonzero and finite"):
         smoothing_convergence(Params(1.0, 0.25, 2.5, 1.5), 0.0, (0.05,), 6000.0)
 
@@ -354,9 +354,9 @@ def test_convergence_failure_detected(monkeypatch):
         return {"max_dev_overall": dev, "max_dev_outside_corners": dev / 2.0,
                 "corner_windows": ()}
 
-    import relaydde.analysis as analysis_module
-    monkeypatch.setattr(analysis_module, "integrate", lambda *args, **kwargs: None)
-    monkeypatch.setattr(analysis_module, "compare_exact_smoothed", fake_compare)
+    import relaydde.numeric as numeric_module
+    monkeypatch.setattr(numeric_module, "integrate", lambda *args, **kwargs: None)
+    monkeypatch.setattr(numeric_module, "compare_exact_smoothed", fake_compare)
     with pytest.raises(ConvergenceFailed, match="grew"):
         smoothing_convergence(Params(1.0, 0.25, 2.5, 1.5), -0.25,
                               (0.05, 0.025, 0.0125))

@@ -19,9 +19,12 @@ from pathlib import Path
 import pytest
 
 import relaydde
+import relaydde.cli as cli_module
+from _csvwriter import csv_reference
 from relaydde.cli import _build_parser, main
 from relaydde.exact import ConstantHistory, propagate, zeros
-from relaydde.model import Params
+from relaydde.model import Params, SmoothingSpec
+from relaydde.numeric import integrate
 from relaydde.tables import ROWS
 
 
@@ -53,6 +56,46 @@ def test_simulate_csv_round_trip(tmp_path, monkeypatch):
     assert "\n".join(rebuilt) + "\n" == text
     # no stray writes beside the declared output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.csv"]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("delta, t_end, chunk", [
+    # the chunk size as a function of the table's n rows; None keeps the CLI's own
+    (0.3, 6.0, lambda n: n + 1),
+    (0.3, 6.0, lambda n: n),
+    (0.3, 6.0, lambda n: n - 1),
+    (0.3, 6.0, lambda n: n // 5 + 1),
+    (0.3, 90.0, None),
+    (0.0, 200.0, lambda n: n // 5 + 1),
+    (0.0, 200.0, lambda n: n),
+], ids=["rows=chunk-1", "rows=chunk", "rows=chunk+1", "several-chunks", "own-chunk-size",
+        "exact-several-chunks", "exact-rows=chunk"])
+def test_simulate_csv_bytes_match_the_whole_table_writer(delta, t_end, chunk, to_file,
+                                                         tmp_path, monkeypatch, capsysbinary):
+    params = Params(1.0, 0.25, 2.5, 1.5)
+    if delta:
+        sol = integrate(params, SmoothingSpec(delta), -0.25, t_end)
+        columns = (sol.times, sol.values, sol.derivs)
+        want = csv_reference(["t", "x", "dx"], zip(*(c.tolist() for c in columns)))
+    else:
+        path = propagate(params, ConstantHistory(-0.25), t_end)
+        want = csv_reference(["t", "x"], path.breakpoints)
+    n = want.count("\n") - 1
+    if chunk is None:
+        assert n > 2 * cli_module._CHUNK
+    else:
+        monkeypatch.setattr(cli_module, "_CHUNK", chunk(n))
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--a1", "1", "--a2", "0.25", "--p1", "2.5", "--p2", "1.5",
+            "--h", "-0.25", "--t-end", repr(t_end), "--delta", repr(delta)]
+    assert main(argv + (["--output", str(out)] if to_file else [])) == 0
+    got = capsysbinary.readouterr()
+    assert got.err == b""
+    if to_file:
+        assert got.out == b""
+        assert out.read_bytes() == want.encode()
+    else:
+        assert got.out == want.encode()
 
 
 def test_simulate_smoothed_json(capsys):
@@ -483,7 +526,8 @@ def test_non_finite_state_names_where_it_happened():
 
 
 # Runs main(argv) when given arguments, or only imports the package, and
-# reports on its last stderr line whether numpy was loaded.
+# reports on its last three stderr lines whether numpy was loaded, which
+# relaydde submodules were, and dir(relaydde).
 _NUMPY_PROBE = """
 import sys
 import relaydde
@@ -491,26 +535,41 @@ code = 0
 if sys.argv[1:]:
     from relaydde.cli import main
     code = main(sys.argv[1:])
-sys.stderr.write(f"\\nnumpy loaded: {'numpy' in sys.modules}\\n")
+import json
+modules = sorted(m for m in sys.modules if m.startswith("relaydde."))
+sys.stderr.write(f"\\nnumpy loaded: {'numpy' in sys.modules}\\n{json.dumps(modules)}\\n"
+                 f"{json.dumps(dir(relaydde))}\\n")
 raise SystemExit(code)
 """
 
 _POINT = ["--a1", "1", "--a2", "0.25", "--p1", "2.5", "--p2", "1.5"]
+# what dir(relaydde) listed when the package imported every submodule up front
+_FRESH_DIR = sorted([*relaydde.__all__, "__all__", "__builtins__", "__cached__", "__doc__",
+                     "__file__", "__loader__", "__name__", "__package__", "__path__",
+                     "__spec__", "__version__", "analysis", "exact", "maps", "model",
+                     "numeric", "tables"])
 
 
-@pytest.mark.parametrize("argv, code, loads_numpy", [
-    ([], 0, False),
-    (["classify", *_POINT], 0, False),
-    (["tables"], 3, False),
-    (["coexist", "--a1", "1", "--a2", "6", "--p1", "3", "--p2", "1"], 0, False),
-    (["scan", *_POINT, "--resolution", "2"], 0, False),
-    (["simulate", *_POINT, "--h", "-0.25", "--t-end", "4", "--delta", "0"], 0, False),
+@pytest.mark.parametrize("argv, code, loads_numpy, modules", [
+    ([], 0, False, ""),
+    (["classify", *_POINT], 0, False, "cli exact maps model"),
+    (["tables"], 3, False, "analysis cli exact maps model tables"),
+    (["coexist", "--a1", "1", "--a2", "6", "--p1", "3", "--p2", "1"], 0, False,
+     "analysis cli exact maps model"),
+    (["scan", *_POINT, "--resolution", "2"], 0, False, "analysis cli exact maps model"),
+    (["simulate", *_POINT, "--h", "-0.25", "--t-end", "4", "--delta", "0"], 0, False,
+     "cli exact model"),
     # controls: these integrate, so the probe must see numpy
-    (["simulate", *_POINT, "--h", "-0.25", "--t-end", "4", "--delta", "0.3"], 0, True),
-    (["smooth", *_POINT, "--h", "-0.25", "--t-end", "4", "--deltas", "0.2,0.1"], 0, True),
+    (["simulate", *_POINT, "--h", "-0.25", "--t-end", "4", "--delta", "0.3"], 0, True,
+     "cli exact model numeric"),
+    (["smooth", *_POINT, "--h", "-0.25", "--t-end", "4", "--deltas", "0.2,0.1"], 0, True,
+     "analysis cli exact maps model numeric"),
 ], ids=["import", "classify", "tables", "coexist", "scan", "simulate-exact",
         "simulate-smoothed", "smooth"])
-def test_numpy_loads_only_for_smoothed_work(argv, code, loads_numpy):
+def test_numpy_loads_only_for_smoothed_work(argv, code, loads_numpy, modules):
     done = _python(["-c", _NUMPY_PROBE, *argv])
     assert done.returncode == code, done.stderr
-    assert done.stderr.splitlines()[-1] == f"numpy loaded: {loads_numpy}"
+    numpy_line, modules_line, dir_line = done.stderr.splitlines()[-3:]
+    assert numpy_line == f"numpy loaded: {loads_numpy}"
+    assert json.loads(modules_line) == [f"relaydde.{m}" for m in modules.split()]
+    assert json.loads(dir_line) == sorted(_FRESH_DIR + (["cli"] if argv else []))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _compare import compare_reference
+from _compare import compare_reference, corner_windows_reference
 from _halving import step_halving_estimate
 from _multiplier import one_period_multiplier
 from _stepwise import coefficient_value, nonlinearity_value, stepwise_integrate
@@ -207,6 +207,23 @@ def test_corner_windows_merge_and_clip():
     for (lo0, hi0), (lo1, hi1) in zip(wins, wins[1:]):
         assert hi0 < lo1
     assert corner_windows(params, 0.0, [0.25], 5.0) == ()
+
+
+def test_corner_windows_do_not_scale_with_the_half_width_over_the_level():
+    # delta / a2 is inf here: listing switches up to t_end + eps never ended
+    assert corner_windows(Params(1e6, 5e-324, 5.86, 1.6), 0.05, (), 3.0) == ((0.0, 3.0),)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.floats(0.01, 10.0), st.floats(0.01, 10.0), st.floats(0.1, 5.0), st.floats(0.1, 5.0),
+       st.floats(1e-3, 0.999), st.lists(st.floats(-5.0, 45.0), max_size=12),
+       st.floats(0.05, 40.0))
+def test_property_corner_windows_match_the_unbounded_reference(a1, a2, p1, p2, delta,
+                                                               zero_times, t_end):
+    # eps = delta / min(a1, a2) runs from 1e-4 to about 100, below and above T
+    params = Params(a1, a2, p1, max(p2, 1.001 - p1))
+    assert (corner_windows(params, delta, zero_times, t_end)
+            == corner_windows_reference(params, delta, zero_times, t_end))
 
 
 @st.composite
