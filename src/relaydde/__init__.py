@@ -34,8 +34,9 @@ numpy loads only when numeric integrates or compares a smoothed solution:
 the exact and return-map work runs without it.
 """
 
-# each public name by the submodule that defines it; a name is imported on
-# first access and then cached in this module's globals
+# each public name by the submodule that defines it; a name is read from its
+# submodule on every access, importing it on the first, so the package always
+# gives the submodule's current binding
 _EXPORTS = {
     "analysis": ("CoexistenceReport", "ConvergenceFailed", "ConvergenceRow",
                  "ConvergenceTable", "PairingFailed", "RowResult", "ScanCell", "ScanReport",
@@ -68,8 +69,7 @@ def __getattr__(name: str):
         return import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
-    return value
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
 
 
 def __dir__() -> list[str]:

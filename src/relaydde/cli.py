@@ -35,12 +35,12 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
 from dataclasses import asdict
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 from .model import Params, Profile, RelayDDEError, SmoothingSpec
 
-_CHUNK = 512  # rows of an all-float CSV table formatted per write
+_CHUNK = 512  # rows of a smoothed simulate table turned into Python floats at a time
 _Flags = dict[str, argparse.Action]
 
 
@@ -154,14 +154,12 @@ def _resolve_output(path_str: str) -> Path:
 
 
 def _emit(args: argparse.Namespace, record: Callable[[], object], header: list[str],
-          rows: Iterable[Iterable], summary: str | None = None, floats: bool = False) -> None:
+          rows: Iterable[Iterable], summary: str | None = None) -> None:
     """Write record() as JSON, or header and rows as CSV (None empty, a float
     by repr: cells must be Python floats, not numpy scalars), to stdout, or to
     --output and then the summary line, if any, to stdout.
 
-    The CSV is written as the rows come, never held whole. floats=True says
-    that every cell is a float, so one %r template formats each row, _CHUNK
-    rows per write, with the bytes csv.writer would write.
+    The CSV is written as the rows come, never held whole.
     """
     if args.format == "json":
         text = json.dumps(record(), indent=2, allow_nan=False) + "\n"
@@ -174,13 +172,7 @@ def _emit(args: argparse.Namespace, record: Callable[[], object], header: list[s
               else _resolve_output(args.output).open("w")) as out:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
-            if not floats:
-                writer.writerows(rows)
-            else:
-                template = ",".join(["%r"] * len(header)) + "\n"
-                rows = iter(rows)
-                while chunk := list(islice(rows, _CHUNK)):
-                    out.write("".join(map(template.__mod__, chunk)))
+            writer.writerows(rows)
     if args.output is not None and summary is not None:
         print(summary)
 
@@ -203,7 +195,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                           "slope": (x1 - x0) / (t1 - t0)}
                          for t0, t1, x0, x1 in zip(ts, ts[1:], xs, xs[1:])],
             "zeros": zeros(path),
-        }, ["t", "x"], zip(ts, xs), floats=True)
+        }, ["t", "x"], zip(ts, xs))
     else:
         from .numeric import integrate
 
@@ -220,7 +212,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "values": sol.values.tolist(),
             "derivs": sol.derivs.tolist(),
             "events": sol.events,
-        }, ["t", "x", "dx"], rows, floats=True)
+        }, ["t", "x", "dx"], rows)
     return 0
 
 

@@ -2,9 +2,9 @@
 
 csv_reference(header, rows) is the text of one csv.writer over a StringIO,
 which is how the CLI once built every CSV payload before writing it. The
-CLI now streams its rows, formatting all-float tables with a template, and
-``main`` must write the same bytes whatever the row count relative to
-``cli._CHUNK``.
+CLI now streams its rows, the smoothed ``simulate`` table converted to
+Python floats ``cli._CHUNK`` rows at a time, and ``main`` must write the
+same bytes whatever the row count relative to that chunk.
 """
 
 import csv

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import relaydde
 from relaydde.cli import main
 
@@ -21,6 +23,20 @@ def test_all_names_resolve_sorted_and_unique():
     assert names == sorted(set(names))
     for name in names:
         assert getattr(relaydde, name) is not None, name
+
+
+def test_package_names_follow_their_submodule():
+    # a patch of the submodule shows through the package while it lasts, and
+    # undoing it gives the original back there too
+    original = relaydde.numeric.integrate
+
+    def fake(*args, **kwargs):
+        raise AssertionError("not to be called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relaydde.numeric, "integrate", fake)
+        assert relaydde.integrate is fake
+    assert relaydde.integrate is original
 
 
 def test_readme_quick_start_runs():

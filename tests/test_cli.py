@@ -60,16 +60,16 @@ def test_simulate_csv_round_trip(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
 @pytest.mark.parametrize("delta, t_end, chunk", [
-    # the chunk size as a function of the table's n rows; None keeps the CLI's own
+    # the chunk size as a function of the table's n rows; None keeps the CLI's own,
+    # which the exact engine's table, passed whole, does not use
     (0.3, 6.0, lambda n: n + 1),
     (0.3, 6.0, lambda n: n),
     (0.3, 6.0, lambda n: n - 1),
     (0.3, 6.0, lambda n: n // 5 + 1),
     (0.3, 90.0, None),
-    (0.0, 200.0, lambda n: n // 5 + 1),
-    (0.0, 200.0, lambda n: n),
+    (0.0, 200.0, None),
 ], ids=["rows=chunk-1", "rows=chunk", "rows=chunk+1", "several-chunks", "own-chunk-size",
-        "exact-several-chunks", "exact-rows=chunk"])
+        "exact"])
 def test_simulate_csv_bytes_match_the_whole_table_writer(delta, t_end, chunk, to_file,
                                                          tmp_path, monkeypatch, capsysbinary):
     params = Params(1.0, 0.25, 2.5, 1.5)
@@ -81,10 +81,10 @@ def test_simulate_csv_bytes_match_the_whole_table_writer(delta, t_end, chunk, to
         path = propagate(params, ConstantHistory(-0.25), t_end)
         want = csv_reference(["t", "x"], path.breakpoints)
     n = want.count("\n") - 1
-    if chunk is None:
-        assert n > 2 * cli_module._CHUNK
-    else:
+    if chunk is not None:
         monkeypatch.setattr(cli_module, "_CHUNK", chunk(n))
+    elif delta:
+        assert n > 2 * cli_module._CHUNK
     out = tmp_path / "sim.csv"
     argv = ["simulate", "--a1", "1", "--a2", "0.25", "--p1", "2.5", "--p2", "1.5",
             "--h", "-0.25", "--t-end", repr(t_end), "--delta", repr(delta)]
