@@ -14,11 +14,11 @@ Module map:
     model     parameter/validation layer, the sharp coefficient, the
               coefficient switch schedule and the work cap
     exact     event-driven exact propagation and piecewise-affine paths
-    maps      return-map coefficients, fixed points, classify, basins
+    maps      the orbit-family table, return maps, fixed points, classify, basins
     numeric   run checks (run_step), the smoothed coefficient and nonlinearity,
               the method-of-steps integrator for the smoothed system, comparisons
     tables    embedded benchmark dataset
-    analysis  benchmark grading from classify, coexistence pairing, scans,
+    analysis  benchmark grading by orbit family, coexistence pairing, scans,
               convergence
     cli       command-line interface (relaydde <subcommand>); the only module
               that parses config text or turns results into JSON, CSV or reports
@@ -26,7 +26,7 @@ Module map:
 classify is the one verdict pipeline: each closed-form candidate is
 validated by exact propagation before it is reported.  Its core,
 maps._verdicts, returns plain tuples, which classify wraps into records and
-scan reads directly.  The other modules
+scan and grade_row read directly.  The other modules
 return records (frozen dataclasses, named tuples, dicts), never text.
 Each submodule loads on first access to one of its names (or to the
 submodule itself), so a CLI command loads only the modules it runs, and

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import ConstantHistory, PiecewisePath, path_sup_distance, propagate
-from .maps import (SHAPE_INVALID, STABLE_2T, STABLE_T, UNSTABLE_T, _verdicts, classify,
-                   dual_params)
+from .maps import _FAMILIES, _verdicts, classify, dual_params
 from .model import MAX_WORK, Params, RelayDDEError, SmoothingSpec
 
 if TYPE_CHECKING:
@@ -57,33 +56,21 @@ def _printed_match(row: TableRow, computed: float | None) -> bool:
     return abs(computed - row.h_star_expected) <= row.h_tolerance
 
 
-# per benchmark family: coefficient periods per orbit, the kinds it validates
-# as, its name in the reason of a ShapeInvalid candidate, and the raw
-# closed-form level reported when classify has no candidate of the family
-_FAMILY = {
-    "two_zero": (1, (STABLE_T, UNSTABLE_T), "two-zero",
-                 lambda v: None if v.m == 1.0 else v.b / (v.m - 1.0)),
-    "one_zero": (2, (STABLE_2T,), "one-zero",
-                 lambda v: None if v.k == -1.0 else -v.d / (v.k + 1.0)),
-}
-
-
 def grade_row(row: TableRow) -> RowResult:
     """Grade one benchmark entry against the classify verdicts for its row.
 
-    The family's validated orbit, or its ShapeInvalid candidate, supplies the
-    computed value.  When classify has no candidate of the family, the row
-    is FAIL:formula and carries the raw closed-form value, if defined.
+    The first verdict of the row's family, a validated orbit or a ShapeInvalid
+    candidate, supplies the computed value.  When there is none, the row is
+    FAIL:formula and carries the family's closed-form level, if defined.
     """
-    periods, kinds, name, raw_level = _FAMILY[row.family]
+    level, _, periods = _FAMILIES[row.family]
     period = periods * row.params.period
-    verdicts = classify(row.params)
-    hit = next((v for v in verdicts if v.kind in kinds
-                or (v.kind == SHAPE_INVALID and name in v.reason)), None)
+    m, b, k, d, _, verdicts = _verdicts(row.params)
+    hit = next(((h, ok) for _, h, _, ok, _, family in verdicts if family == row.family), None)
     if hit is None:
-        return RowResult(row, raw_level(verdicts[0]), period, "FAIL:formula")
-    shape_ok = hit.validated
-    h = hit.h_star[0] if isinstance(hit.h_star, tuple) else hit.h_star
+        return RowResult(row, level(m, b, k, d), period, "FAIL:formula")
+    h, shape_ok = hit
+    h = h[0] if isinstance(h, tuple) else h
     value_ok = _printed_match(row, h)
     if value_ok and shape_ok:
         status = "PASS"

@@ -62,10 +62,10 @@ def type1_coefficients(params: Params) -> tuple[float, float]:
 
 def type1_fixed_point(params: Params) -> float:
     """Fixed point h* = b/(m - 1) of the two-zero return map."""
-    m, b = type1_coefficients(params)
-    if m == 1.0:
+    h = _FAMILIES["two_zero"].level(*type1_coefficients(params), *type2_coefficients(params))
+    if h is None:
         raise MIsOne("equal levels a1 = a2 give slope 1; no unique fixed point")
-    return b / (m - 1.0)
+    return h
 
 
 def type2_coefficients(params: Params) -> tuple[float, float]:
@@ -89,7 +89,7 @@ def type2_two_cycle(params: Params) -> tuple[float, float]:
         raise NoCycle(f"offset d = {d!r} is not positive; no two-cycle")
     if abs(k) >= 1.0:
         raise NoCycle(f"slope k = {k!r} outside (-1, 1); iterates do not settle on a two-cycle")
-    h = -d / (k + 1.0)
+    h = _FAMILIES["one_zero"].level(*type1_coefficients(params), k, d)
     return h, -h
 
 
@@ -164,36 +164,46 @@ def _validate_one_zero(params: Params, h: float) -> tuple[bool, str]:
     return True, ""
 
 
-class _Branch(NamedTuple):
-    """One closed-form orbit family: where it applies and how it is checked."""
+class _Family(NamedTuple):
+    """One closed-form orbit family, keyed in _FAMILIES as TableRow.family."""
 
-    kind: str
-    applies: Callable[[float, float, float, float], bool]  # on (m, b, k, d)
-    level: Callable[[float, float, float, float], float]  # candidate h* from (m, b, k, d)
+    level: Callable[[float, float, float, float], float | None]  # h* from (m, b, k, d), or None
     validate: Callable[[Params, float], tuple[bool, str]]
     periods: int  # coefficient periods per orbit
+
+
+_FAMILIES = {
+    "two_zero": _Family(lambda m, b, k, d: None if m == 1.0 else b / (m - 1.0),
+                        _validate_two_zero, 1),
+    "one_zero": _Family(lambda m, b, k, d: None if k == -1.0 else -d / (k + 1.0),
+                        _validate_one_zero, 2),
+}
+
+
+class _Branch(NamedTuple):
+    """One verdict a family can give, and where its closed form applies."""
+
+    kind: str
+    applies: Callable[[float, float, float, float], bool]  # on (m, b, k, d); keeps level defined
+    family: str  # a _FAMILIES key
     label: str  # names the candidate, and its zero count, in ShapeInvalid reasons
 
 
-# each level is type1_fixed_point's or type2_two_cycle's expression, which
-# the branch's applies test keeps away from their refusals
 _BRANCHES = (
-    _Branch(STABLE_T, lambda m, b, k, d: abs(m) < 1.0 and b > 0.0,
-            lambda m, b, k, d: b / (m - 1.0), _validate_two_zero, 1,
+    _Branch(STABLE_T, lambda m, b, k, d: abs(m) < 1.0 and b > 0.0, "two_zero",
             "stable two-zero candidate"),
-    _Branch(UNSTABLE_T, lambda m, b, k, d: m > 1.0 and b < 0.0,
-            lambda m, b, k, d: b / (m - 1.0), _validate_two_zero, 1,
+    _Branch(UNSTABLE_T, lambda m, b, k, d: m > 1.0 and b < 0.0, "two_zero",
             "unstable two-zero candidate"),
-    _Branch(STABLE_2T, lambda m, b, k, d: abs(k) < 1.0 and d > 0.0,
-            lambda m, b, k, d: -d / (k + 1.0), _validate_one_zero, 2,
+    _Branch(STABLE_2T, lambda m, b, k, d: abs(k) < 1.0 and d > 0.0, "one_zero",
             "one-zero two-cycle candidate"),
 )
 
 
 def _verdicts(params: Params) -> tuple[float, float, float, float, bool, list[tuple]]:
     """classify's core: m, b, k, d, boundary and one plain verdict tuple
-    (kind, h_star, period, validated, reason) per verdict, in classify's
-    order.  scan reads the kinds and boundary from here without records.
+    (kind, h_star, period, validated, reason, family) per verdict, in
+    classify's order; family is a _FAMILIES key, None for Diverges2T and the
+    no-branch ShapeInvalid.  scan and grade_row read these without records.
     """
     m, b = type1_coefficients(params)
     k, d = type2_coefficients(params)
@@ -204,9 +214,10 @@ def _verdicts(params: Params) -> tuple[float, float, float, float, bool, list[tu
     # a2/a1 rounds away), so m == 1 covers both slope equalities
     boundary = m == 1.0 or b == 0.0 or d == 0.0
     out, failed = [], []
-    for kind, applies, level, validate, periods, label in _BRANCHES:
+    for kind, applies, family, label in _BRANCHES:
         if not applies(m, b, k, d):
             continue
+        level, validate, periods = _FAMILIES[family]
         h = level(m, b, k, d)
         if not math.isfinite(h):  # b / (m - 1) or d / (k + 1) overflowed
             ok, why, h = False, "starting level is not finite", None
@@ -218,30 +229,31 @@ def _verdicts(params: Params) -> tuple[float, float, float, float, bool, list[tu
             except DegenerateStall as exc:  # e.g. a zero that rounds onto its knot
                 ok, why = False, str(exc)
         if ok:
-            out.append((kind, (h, -h) if periods == 2 else h, periods * params.period, True, ""))
+            out.append((kind, (h, -h) if periods == 2 else h, periods * params.period, True, "",
+                        family))
         else:
-            failed.append((SHAPE_INVALID, h, None, False, f"{label}: {why}"))
+            failed.append((SHAPE_INVALID, h, None, False, f"{label}: {why}", family))
     if k < -1.0:
         out.append((DIVERGES_2T, None, None, False,
-                    "slope k < -1: iterates of the one-zero map diverge"))
+                    "slope k < -1: iterates of the one-zero map diverge", None))
     out += failed
     if not out:
         out.append((SHAPE_INVALID, None, None, False,
-                    "no closed-form branch applies to these parameters"))
+                    "no closed-form branch applies to these parameters", None))
     return m, b, k, d, boundary, out
 
 
 def classify(params: Params) -> tuple[Classification, ...]:
     """All verdicts the closed-form maps support for these parameters.
 
-    Validated orbit verdicts (StableT, UnstableT, Stable2T) come first; a
-    map-level Diverges2T verdict follows when k < -1; candidates whose orbit
-    fails propagation checks are appended as ShapeInvalid records, whose
-    reason names the candidate's family ("two-zero" or "one-zero").  When no
-    branch applies at all, a single ShapeInvalid record is returned, with
-    boundary set if the parameters sit on an excluded equality.  Raises
-    ValueError when a map coefficient m, b, k or d is not finite.
+    Validated orbit verdicts (StableT, UnstableT, Stable2T) come first, then a
+    Diverges2T verdict when k < -1, then each candidate whose orbit fails the
+    propagation checks as a ShapeInvalid record whose reason names its family
+    ("two-zero" or "one-zero"); _verdicts also carries the family key, which
+    is dropped here.  When no branch applies, a single ShapeInvalid record is
+    returned, with boundary set if the parameters sit on an excluded equality.
+    Raises ValueError when a map coefficient m, b, k or d is not finite.
     """
     m, b, k, d, boundary, verdicts = _verdicts(params)
     return tuple(Classification(kind, h_star, period, m, b, k, d, ok, boundary, reason)
-                 for kind, h_star, period, ok, reason in verdicts)
+                 for kind, h_star, period, ok, reason, _ in verdicts)

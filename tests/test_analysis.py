@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import pytest
 
+from relaydde import maps
 from relaydde.analysis import (
     ConvergenceFailed,
     PairingFailed,
@@ -19,7 +20,7 @@ from relaydde.analysis import (
 from relaydde.maps import classify, type2_coefficients
 from relaydde.model import Params
 from relaydde.numeric import integrate
-from relaydde.tables import ROWS
+from relaydde.tables import ROWS, TableRow
 
 # rows where the recomputed value disagrees with the benchmark number
 VALUE_DEVIATIONS = {
@@ -95,6 +96,27 @@ def test_formula_rows_report_the_rejected_candidate(table_results):
     assert res.status == "FAIL:formula"
     k, d = type2_coefficients(res.row.params)
     assert res.computed_h == -d / (k + 1.0)
+
+
+def test_formula_rows_with_no_defined_level_report_none():
+    # m = 1 and k = -1: no branch applies and neither closed-form level exists
+    params = Params(2.0, 2.0, 2.0, 1.0)
+    for table_id, expected in (("T1", (None, 3.0, "FAIL:formula")),
+                               ("T3", (None, 6.0, "FAIL:formula"))):
+        res = grade_row(TableRow(table_id, 1, params, -1.0, 3.0, 4, "PASS"))
+        assert (res.computed_h, res.computed_period, res.status) == expected
+
+
+def test_grading_does_not_read_the_reason_text(monkeypatch, table_results):
+    # relabel every branch with a text that names no family: each row is
+    # still graded by the family its candidate carries, exactly as before
+    relabelled = tuple(b._replace(label=f"candidate {i}") for i, b in enumerate(maps._BRANCHES))
+    monkeypatch.setattr(maps, "_BRANCHES", relabelled)
+    assert classify(Params(7.0, 0.5, 2.0, 3.0))[0].reason.startswith("candidate 2: ")
+    regraded = [grade_row(r.row) for r in table_results]
+    assert len(regraded) == 53
+    assert ([(r.computed_h, r.computed_period, r.status) for r in regraded]
+            == [(r.computed_h, r.computed_period, r.status) for r in table_results])
 
 
 def test_grade_row_matches_batch(table_results):

@@ -1,5 +1,6 @@
 """Tests for the affine return maps, classification, and basins."""
 
+import itertools
 import json
 import math
 from dataclasses import asdict
@@ -22,8 +23,10 @@ from relaydde.maps import (
     type2_coefficients,
     type2_two_cycle,
     apply_F,
+    _verdicts,
 )
 from relaydde.model import Params
+from test_golden import LEVELS, STRETCHES
 
 
 def _random_params(rng):
@@ -283,6 +286,29 @@ def test_classify_shape_invalid_candidate():
     assert abs(verdicts[0].h_star + 6.1923076923076925) < 1e-12
     assert not verdicts[0].validated
     assert "one-zero" in verdicts[0].reason
+
+
+def test_each_verdict_carries_the_family_of_its_kind():
+    # grading reads a verdict's family key, not its reason, so over the golden
+    # grid the key must agree with the kind, and a candidate's reason must
+    # still name its family's zero count as classify's docstring promises
+    family_of = {"StableT": "two_zero", "UnstableT": "two_zero", "Stable2T": "one_zero",
+                 "Diverges2T": None}
+    named = {"two_zero": "two-zero", "one_zero": "one-zero"}
+    seen = set()
+    for point in itertools.product(LEVELS, LEVELS, STRETCHES, STRETCHES):
+        *_, verdicts = _verdicts(Params(*point))
+        for kind, _, _, _, reason, family in verdicts:
+            seen.add((kind, family))
+            if kind != "ShapeInvalid":
+                assert family == family_of[kind], (point, kind)
+            elif family is None:
+                assert reason == "no closed-form branch applies to these parameters"
+            else:
+                other = next(name for key, name in named.items() if key != family)
+                assert named[family] in reason and other not in reason, (point, reason)
+    assert seen == {*family_of.items(), ("ShapeInvalid", "two_zero"),
+                    ("ShapeInvalid", "one_zero"), ("ShapeInvalid", None)}
 
 
 def test_classify_reports_alternative_stable_orbit():
