@@ -29,8 +29,8 @@ maps._verdicts, returns plain tuples, which classify wraps into records and
 scan and grade_row read directly.  The other modules
 return records (frozen dataclasses, named tuples, dicts), never text.
 Each submodule loads on first access to one of its names (or to the
-submodule itself), so a CLI command loads only the modules it runs, and
-numpy loads only when numeric integrates or compares a smoothed solution:
+submodule itself), so a CLI command loads only the modules it runs.
+numpy is imported with numeric, and only smoothed work imports numeric:
 the exact and return-map work runs without it.
 """
 
@@ -45,10 +45,9 @@ _EXPORTS = {
     "exact": ("ConstantHistory", "DegenerateStall", "PiecewisePath", "path_sup_distance",
               "propagate", "zeros"),
     "maps": ("DIVERGES_2T", "SHAPE_INVALID", "STABLE_2T", "STABLE_T", "UNSTABLE_T",
-             "BasinDescriptor", "Classification", "HZero", "MIsOne", "NoCycle",
-             "NotApplicable", "apply_F", "basin", "classify", "dual_params",
-             "type1_coefficients", "type1_fixed_point", "type2_coefficients",
-             "type2_two_cycle"),
+             "BasinDescriptor", "Classification", "HZero", "NoCycle", "NotApplicable",
+             "apply_F", "basin", "classify", "dual_params", "type1_coefficients",
+             "type2_coefficients", "type2_two_cycle"),
     "model": ("Params", "Profile", "RelayDDEError", "SmoothingSpec", "coefficient_value",
               "validate_geometry"),
     "numeric": ("DenseSolution", "NonFiniteState", "compare_exact_smoothed", "corner_windows",

@@ -48,14 +48,6 @@ class RowResult(NamedTuple):
     status: str
 
 
-def _printed_match(row: TableRow, computed: float | None) -> bool:
-    if computed is None:
-        return False
-    if row.h_decimals is None:
-        return computed == row.h_star_expected
-    return abs(computed - row.h_star_expected) <= row.h_tolerance
-
-
 def grade_row(row: TableRow) -> RowResult:
     """Grade one benchmark entry against the classify verdicts for its row.
 
@@ -71,7 +63,7 @@ def grade_row(row: TableRow) -> RowResult:
         return RowResult(row, level(m, b, k, d), period, "FAIL:formula")
     h, shape_ok = hit
     h = h[0] if isinstance(h, tuple) else h
-    value_ok = _printed_match(row, h)
+    value_ok = h is not None and abs(h - row.h_star_expected) <= row.h_tolerance
     if value_ok and shape_ok:
         status = "PASS"
     elif shape_ok:
@@ -203,7 +195,11 @@ class ScanCell:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Grid classification over a parameter box."""
+    """Grid classification over a parameter box.
+
+    overlap_free is always true: StableT needs |m| < 1 and UnstableT needs
+    m > 1, so no cell carries both.
+    """
 
     axes: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]
     overlap_free: bool  # declared before cells: the JSON payload lists it first
@@ -225,7 +221,8 @@ def scan(a1_range: tuple[float, float], a2_range: tuple[float, float],
          resolution: int | tuple[int, int, int, int] = 3) -> ScanReport:
     """Classify every point of a grid over the given parameter box.
 
-    A grid of more than MAX_WORK cells is refused before any axis is built.
+    A grid of more than MAX_WORK cells is refused before any axis is built,
+    and one whose estimated events exceed MAX_WORK before any cell runs.
     """
     if isinstance(resolution, int):
         res = (resolution,) * 4
@@ -235,16 +232,23 @@ def scan(a1_range: tuple[float, float], a2_range: tuple[float, float],
             raise ValueError("resolution must be an int or a 4-tuple")
     if min(res) < 2:
         raise ValueError("resolution must be at least 2 per axis")
-    if math.prod(res) > MAX_WORK:
-        raise ValueError(f"a grid of {math.prod(res):,} cells is above the cap {MAX_WORK:,}")
+    n_cells = math.prod(res)
+    if n_cells > MAX_WORK:
+        raise ValueError(f"a grid of {n_cells:,} cells is above the cap {MAX_WORK:,}")
     axes = (
         _axis(*a1_range, res[0]),
         _axis(*a2_range, res[1]),
         _axis(*p1_range, res[2]),
         _axis(*p2_range, res[3]),
     )
+    # a cell propagates at most three periods (T for its two-zero candidate,
+    # 2T for its one-zero one), each of at most about 2T + 4 events
+    t_max = axes[2][-1] + axes[3][-1]
+    work = n_cells * 3.0 * (2.0 * t_max + 4.0)
+    if work > MAX_WORK:
+        raise ValueError(f"a grid of {n_cells:,} cells with periods up to {t_max:.6g} asks for "
+                         f"about {work:.3g} events, above the cap {MAX_WORK:,}")
     cells = []
-    overlap_free = True
     for a1 in axes[0]:
         for a2 in axes[1]:
             for p1 in axes[2]:
@@ -255,11 +259,10 @@ def scan(a1_range: tuple[float, float], a2_range: tuple[float, float],
                         cells.append(ScanCell(a1, a2, p1, p2, ("InvalidParams",), False))
                         continue
                     *_, boundary, verdicts = _verdicts(params)
-                    kinds = tuple(v[0] for v in verdicts)
-                    if "StableT" in kinds and "UnstableT" in kinds:  # pragma: no cover
-                        overlap_free = False
-                    cells.append(ScanCell(a1, a2, p1, p2, kinds, boundary))
-    return ScanReport(axes=axes, cells=tuple(cells), overlap_free=overlap_free)
+                    cells.append(ScanCell(a1, a2, p1, p2, tuple(v[0] for v in verdicts),
+                                          boundary))
+    # StableT needs |m| < 1 and UnstableT m > 1, so no cell holds both
+    return ScanReport(axes=axes, cells=tuple(cells), overlap_free=True)
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,6 @@ SHAPE_INVALID = "ShapeInvalid"
 RETURN_TOL = 1e-9
 
 
-class MIsOne(RelayDDEError):
-    """Equal coefficient levels give slope one and no unique fixed point."""
-
-
 class HZero(RelayDDEError):
     """The interval map is discontinuous at h = 0 and undefined there."""
 
@@ -58,14 +54,6 @@ def type1_coefficients(params: Params) -> tuple[float, float]:
     m = 2.0 * params.a2 / params.a1 - 1.0
     b = params.a1 * (params.p1 - 2.0) + params.a2 * (6.0 - (2.0 * params.p1 + params.p2))
     return m, b
-
-
-def type1_fixed_point(params: Params) -> float:
-    """Fixed point h* = b/(m - 1) of the two-zero return map."""
-    h = _FAMILIES["two_zero"].level(*type1_coefficients(params), *type2_coefficients(params))
-    if h is None:
-        raise MIsOne("equal levels a1 = a2 give slope 1; no unique fixed point")
-    return h
 
 
 def type2_coefficients(params: Params) -> tuple[float, float]:

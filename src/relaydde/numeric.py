@@ -29,8 +29,9 @@ merged into a ramp edge less than BREAK_TOL below it, is split at the last
 step whose history is stored.)
 
 The sharp model (delta == 0) is not integrated here: exact.propagate
-builds its solution event by event. numpy is imported inside the functions
-that build or read arrays, so importing this module does not load it.
+builds its solution event by event. numpy is imported with this module,
+and only smoothed work imports this module, so the exact and return-map
+work runs without numpy.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ from dataclasses import dataclass
 from .exact import ConstantHistory, propagate, zeros as path_zeros
 from .model import (MAX_WORK, Params, Profile, RelayDDEError, SmoothingSpec, switch_times,
                     validate_geometry)
+
+# after the package imports, which may compile exact from source: compiling it
+# before numpy is loaded keeps a smoothed simulate's peak memory 0.3 MB lower
+import numpy as np
 
 BREAK_TOL = 1e-9
 
@@ -71,7 +76,6 @@ class DenseSolution:
     smoothing: SmoothingSpec
 
     def __post_init__(self) -> None:
-        import numpy as np
         n = len(self.times)
         if n < 2 or len(self.values) != n or len(self.derivs) != n:
             raise ValueError("times, values and derivs must share a length >= 2")
@@ -84,7 +88,6 @@ class DenseSolution:
 
     def values_at(self, ts) -> np.ndarray:
         """Cubic Hermite evaluation at the given times (vectorized)."""
-        import numpy as np
         tq = np.asarray(ts, dtype=float)
         scalar = tq.ndim == 0
         tq = np.atleast_1d(tq)
@@ -104,7 +107,6 @@ def _locate(times, tq):
     before it, which is the second copy of a repeated time, or the last
     interval; a zero-width interval there is stepped back off.
     """
-    import numpy as np
     i = np.minimum(np.searchsorted(times, tq, side="right") - 1, len(times) - 2)
     i = np.where(times[i + 1] == times[i], i - 1, i)
     t0 = times[i]
@@ -136,7 +138,6 @@ def _coefficient_array(params: Params, smoothing: SmoothingSpec, t: np.ndarray) 
     over any whole period unchanged. The ramp geometry is not checked here:
     run_step checks it once per run.
     """
-    import numpy as np
     T = params.period
     phase = t % T
     phase[phase >= T] = 0.0
@@ -161,7 +162,6 @@ def _nonlinearity_array(smoothing: SmoothingSpec, x: np.ndarray) -> np.ndarray:
     [0, delta) and -1 beyond; it has slope -1 at zero and joins the
     saturated levels flatly.
     """
-    import numpy as np
     d = smoothing.delta
     if smoothing.profile is Profile.AFFINE:
         return np.where(x >= d, -1.0, np.where(x <= -d, 1.0, -x / d))
@@ -239,7 +239,6 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
     The run and the step are checked, and an omitted step chosen, by
     run_step before anything is built; delta == 0 is refused there.
     """
-    import numpy as np
     if not math.isfinite(h):
         raise ValueError("history value h must be finite")
     step = run_step(params, smoothing, t_end, step)
@@ -403,7 +402,6 @@ def compare_exact_smoothed(params: Params, h: float, sol: DenseSolution) -> dict
     O(delta) corner mismatch sits. Both are maxima, so the query times are
     neither sorted nor deduplicated. No integration is run here.
     """
-    import numpy as np
     t_end = sol.end_time
     exact_path = propagate(params, ConstantHistory(h), t_end)
 

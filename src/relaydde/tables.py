@@ -40,15 +40,13 @@ from dataclasses import dataclass
 
 from .model import Params
 
-TWO_ZERO_TABLES = ("T1", "T2", "T4")
-ONE_ZERO_TABLES = ("T3", "T5")
-
-KIND_BY_TABLE = {
-    "T1": "StableT",
-    "T2": "UnstableT",
-    "T3": "Stable2T",
-    "T4": "UnstableT",
-    "T5": "Stable2T",
+# each table's claimed verdict kind and orbit family (a maps._FAMILIES key)
+_GROUPS = {
+    "T1": ("StableT", "two_zero"),
+    "T2": ("UnstableT", "two_zero"),
+    "T3": ("Stable2T", "one_zero"),
+    "T4": ("UnstableT", "two_zero"),
+    "T5": ("Stable2T", "one_zero"),
 }
 
 
@@ -69,11 +67,11 @@ class TableRow:
 
     @property
     def family(self) -> str:
-        return "two_zero" if self.table_id in TWO_ZERO_TABLES else "one_zero"
+        return _GROUPS[self.table_id][1]
 
     @property
     def kind_expected(self) -> str:
-        return KIND_BY_TABLE[self.table_id]
+        return _GROUPS[self.table_id][0]
 
     @property
     def h_tolerance(self) -> float:

@@ -277,6 +277,28 @@ def test_scan_validation():
         scan((1, 2), (1, 2), (1, 2), (1, 2), 10**9)
 
 
+@pytest.mark.parametrize("p2_hi, refused", [(831.0, False), (832.0, True)])
+def test_scan_caps_its_estimated_events_before_any_cell_runs(p2_hi, refused, monkeypatch):
+    # 16 cells * 3 periods * (2 T + 4) events: T = 20831 estimates 1,999,968
+    # events and T = 20832 estimates 2,000,064, against the cap 2,000,000
+    import relaydde.analysis as analysis_module
+    ran = []
+
+    def no_verdicts(params):  # a cell that runs nothing: no boundary, no verdicts
+        ran.append(params)
+        return False, []
+
+    monkeypatch.setattr(analysis_module, "_verdicts", no_verdicts)
+    box = ((1.0, 2.0), (1.0, 2.0), (1.0, 20000.0), (1.0, p2_hi))
+    if refused:
+        with pytest.raises(ValueError, match="periods up to 20832 asks for about 2e[+]06 "
+                                             "events, above the cap 2,000,000"):
+            scan(*box, 2)
+        assert ran == []
+    else:
+        assert len(scan(*box, 2).cells) == len(ran) == 16
+
+
 def test_scan_jsonable():
     rep = scan((0.9, 1.1), (5.4, 6.6), (2.7, 3.3), (0.9, 1.1), 2)
     decoded = json.loads(json.dumps(asdict(rep)))

@@ -463,6 +463,16 @@ def test_scan_span_validation(capsys):
     capsys.readouterr()
 
 
+def test_scan_refuses_a_box_of_long_periods(capsys):
+    # periods up to about 81,596, and a cell costs about as much as its period
+    # is long: the grid is refused on its estimated events, not its 16 cells
+    assert main(["scan", "--a1", "3.877504", "--a2", "1.2", "--p1", "54390",
+                 "--p2", "7.506956", "--span", "0.5", "--resolution", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "events, above the cap 2,000,000" in captured.err
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("point", [("1e300", "1e-300", "1e300", "1"),
                                    ("1e300", "1e300", "1e300", "1e300")])

@@ -11,18 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 from relaydde.exact import ConstantHistory, propagate
 from relaydde.maps import (
+    BasinDescriptor,
     HZero,
-    MIsOne,
     NoCycle,
     NotApplicable,
     basin,
     classify,
     dual_params,
     type1_coefficients,
-    type1_fixed_point,
     type2_coefficients,
     type2_two_cycle,
     apply_F,
+    _FAMILIES,
     _verdicts,
 )
 from relaydde.model import Params
@@ -37,6 +37,11 @@ def _random_params(rng):
     return Params(a1, a2, p1, p2)
 
 
+def _two_zero_level(p):
+    """The two-zero family's fixed point b/(m - 1), or None where m == 1."""
+    return _FAMILIES["two_zero"].level(*type1_coefficients(p), 0.0, 0.0)
+
+
 def test_type1_map_known_coefficients():
     # the two-zero return map is h -> m*h - b
     m, b = type1_coefficients(Params(1.0, 0.25, 2.5, 1.5))
@@ -49,12 +54,12 @@ def test_type1_map_known_coefficients():
 
 
 def test_type1_fixed_point_values():
-    assert abs(type1_fixed_point(Params(math.sqrt(10.0), 1.0 / math.sqrt(5.0),
-                                        math.pi, math.e + 1.0)) + 1.0602) < 5e-5
-    assert abs(type1_fixed_point(Params(3.0, 7.0, 4.0, 1.0)) + 5.625) < 1e-12
-    assert type1_fixed_point(Params(2.0, 0.25, 2.5, 1.0)) == -4.0 / 7.0
-    with pytest.raises(MIsOne):
-        type1_fixed_point(Params(2.0, 2.0, 2.0, 1.0))
+    assert abs(_two_zero_level(Params(math.sqrt(10.0), 1.0 / math.sqrt(5.0),
+                                      math.pi, math.e + 1.0)) + 1.0602) < 5e-5
+    assert abs(_two_zero_level(Params(3.0, 7.0, 4.0, 1.0)) + 5.625) < 1e-12
+    assert _two_zero_level(Params(2.0, 0.25, 2.5, 1.0)) == -4.0 / 7.0
+    # equal levels give slope m = 1 and no unique fixed point
+    assert _two_zero_level(Params(2.0, 2.0, 2.0, 1.0)) is None
 
 
 def test_type1_fixed_point_alternative_form():
@@ -65,7 +70,7 @@ def test_type1_fixed_point_alternative_form():
         if p.a1 == p.a2:
             continue
         m, b = type1_coefficients(p)
-        h = type1_fixed_point(p)
+        h = _two_zero_level(p)
         alt = p.a1 * b / (2.0 * (p.a2 - p.a1))
         assert abs(h - alt) < 1e-12 * max(1.0, abs(h))
 
@@ -99,12 +104,17 @@ def test_two_cycle_values_and_errors():
     assert lo == -1.0 / 3.0 and hi == 1.0 / 3.0
     lo, hi = type2_two_cycle(Params(7.0, 2.5, 2.0, 3.0))
     assert abs(lo + 7.0 / 6.0) < 1e-12 and hi == -lo
-    with pytest.raises(NoCycle):
-        type2_two_cycle(Params(1.0, 5.0, 4.0, 1.0))  # k = -9
-    with pytest.raises(NoCycle):
+    # the offset is checked first: these two also have |k| >= 1
+    with pytest.raises(NoCycle, match="offset d = .* is not positive"):
+        type2_two_cycle(Params(1.0, 5.0, 4.0, 1.0))  # k = -9, d = -31
+    with pytest.raises(NoCycle, match="offset d = .* is not positive"):
+        type2_two_cycle(Params(1.3, 1.3, 1.0, 1.0))  # k = -1, d = 0
+    with pytest.raises(NoCycle, match="offset d = .* is not positive"):
         type2_two_cycle(Params(7.0, 3.0, 1.0, 4.0))  # d = -5
-    with pytest.raises(NoCycle):
-        type2_two_cycle(Params(1.3, 1.3, 1.0, 1.0))  # k = -1 boundary
+    with pytest.raises(NoCycle, match=r"slope k = .* outside \(-1, 1\)"):
+        type2_two_cycle(Params(1.0, 2.0, 0.5, 0.6))  # k = -3, d = 1.3
+    with pytest.raises(NoCycle, match=r"slope k = .* outside \(-1, 1\)"):
+        type2_two_cycle(Params(1.0, 1.0, 0.5, 0.75))  # k = -1 boundary, d = 0.75
 
 
 def test_two_cycle_closed_form_consistency():
@@ -156,7 +166,7 @@ def test_fixed_point_is_exact_fixed_point():
         p = _random_params(rng)
         if p.a1 == p.a2:
             continue
-        h = type1_fixed_point(p)
+        h = _two_zero_level(p)
         m, b = type1_coefficients(p)
         assert abs(m * h - b - h) < 1e-12 * max(1.0, abs(h))
 
@@ -211,6 +221,8 @@ def test_basin_descriptor():
     assert bd.kind == "interval"
     assert abs(bd.radius - 1.5) < 1e-12
     assert asdict(bd) == {"kind": "interval", "radius": bd.radius}
+    # a1 = 2*a2 exactly: k = 0, and one application of F lands on the cycle
+    assert basin(Params(2.0, 1.0, 1.0, 1.0)) == BasinDescriptor("all_nonzero")
     with pytest.raises(NotApplicable):
         basin(Params(1.0, 5.0, 4.0, 1.0))  # k = -9
     with pytest.raises(NotApplicable):

@@ -1,5 +1,6 @@
 """Tests for the fourth-order integrator and smoothing comparisons."""
 
+import math
 import sys
 import tracemalloc
 
@@ -283,15 +284,32 @@ def integrate_runs(draw):
     return Params(a1, a2, p1, p2), smoothing, h, t_end, step
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(integrate_runs())
-def test_property_integrate_matches_the_stepwise_reference(run):
-    sol = integrate(*run)
+def _assert_matches_the_stepwise_reference(sol, run):
     times, values, derivs, events, step = stepwise_integrate(*run)
     assert sol.times.tobytes() == np.array(times).tobytes()
     assert sol.values.tobytes() == np.array(values).tobytes()
     assert sol.derivs.tobytes() == np.array(derivs).tobytes()
     assert (sol.events, sol.step) == (events, step)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(integrate_runs())
+def test_property_integrate_matches_the_stepwise_reference(run):
+    _assert_matches_the_stepwise_reference(integrate(*run), run)
+
+
+def test_integrate_grows_its_buffer_and_matches_the_stepwise_reference():
+    # from h = 0 the state sits on the level 0 at every step, so echo knots
+    # outnumber the static ones and the run outgrows the samples integrate
+    # reserves up front: one per step, one per static knot (at most two ramp
+    # edges per switch, the integer lattice and t_end) and 16 spare
+    run = (Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.05), 0.0, 35.0)
+    sol = integrate(*run)
+    params, smoothing, _, t_end = run
+    switches = list(model.switch_times(params, 0.0, t_end + smoothing.delta))
+    reserved = math.ceil(t_end / sol.step) + 2 * len(switches) + math.ceil(t_end) + 17
+    assert len(sol.times) > reserved
+    _assert_matches_the_stepwise_reference(sol, run)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

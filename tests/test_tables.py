@@ -12,12 +12,7 @@ import pytest
 
 from relaydde.exact import ConstantHistory, propagate, zeros
 from relaydde.maps import dual_params, type1_coefficients, type2_coefficients
-from relaydde.tables import (
-    KIND_BY_TABLE,
-    ONE_ZERO_TABLES,
-    ROWS,
-    TWO_ZERO_TABLES,
-)
+from relaydde.tables import _GROUPS, ROWS
 
 BY_KEY = {(r.table_id, r.index): r for r in ROWS}
 
@@ -34,17 +29,17 @@ NO_ATTRACTOR_KEYS = {("T3", 8), ("T3", 10), ("T5", 4)}
 
 def test_row_counts_and_grouping():
     assert len(ROWS) == 53
-    sizes = {tid: sum(r.table_id == tid for r in ROWS) for tid in KIND_BY_TABLE}
+    assert {r.table_id for r in ROWS} <= set(_GROUPS)
+    sizes = {tid: sum(r.table_id == tid for r in ROWS) for tid in _GROUPS}
     assert sizes == {"T1": 11, "T2": 13, "T3": 11, "T4": 9, "T5": 9}
-    for tid in KIND_BY_TABLE:
+    for tid in _GROUPS:
         rows = [r for r in ROWS if r.table_id == tid]
         assert [r.index for r in rows] == list(range(1, len(rows) + 1))
-    assert set(TWO_ZERO_TABLES) | set(ONE_ZERO_TABLES) == set(KIND_BY_TABLE)
 
 
 def test_families_and_kinds():
     for row in ROWS:
-        if row.table_id in TWO_ZERO_TABLES:
+        if row.table_id in ("T1", "T2", "T4"):
             assert row.family == "two_zero"
             assert row.kind_expected in ("StableT", "UnstableT")
         else:
