@@ -49,6 +49,7 @@ from .model import (MAX_WORK, Params, Profile, RelayDDEError, SmoothingSpec, swi
 import numpy as np
 
 BREAK_TOL = 1e-9
+_BLOCK = 8192  # samples compare_exact_smoothed reads at a time
 
 
 class NonFiniteState(RelayDDEError):
@@ -96,7 +97,8 @@ class DenseSolution:
             raise ValueError("query time outside the stored range")
         if np.any(tq < lo) or np.any(tq > hi):
             tq = np.clip(tq, lo, hi)
-        out = _hermite_at(self.values, self.derivs, *_locate(self.times, tq))
+        i, u, dt = _locate(self.times, tq)
+        out = _hermite_at(self.values, self.derivs, i, i + 1, u, dt)
         return float(out[0]) if scalar else out
 
 
@@ -108,25 +110,28 @@ def _locate(times, tq):
     interval; a zero-width interval there is stepped back off.
     """
     i = np.minimum(np.searchsorted(times, tq, side="right") - 1, len(times) - 2)
-    i = np.where(times[i + 1] == times[i], i - 1, i)
-    t0 = times[i]
-    dt = times[i + 1] - t0
+    t0, t1 = times[i], times[i + 1]
+    flat = t1 == t0
+    if flat.any():
+        i = np.where(flat, i - 1, i)
+        t0, t1 = times[i], times[i + 1]
+    dt = t1 - t0
     return i, (tq - t0) / dt, dt
 
 
-def _hermite_at(values, derivs, i, u, dt):
-    """The cubic Hermite interpolant at offset u of the intervals i of width dt.
+def _hermite_at(values, derivs, i, j, u, dt):
+    """The cubic Hermite interpolant at offset u of the intervals of width dt.
 
-    Each operand is gathered as its term is added. Scalars work too, with
-    sequences for values and derivs.
+    i and j index the intervals' left and right samples: index arrays,
+    slices or scalars. Each operand is gathered as its term is added.
+    Scalars work with sequences for values and derivs.
     """
     u2 = u * u
     u3 = u2 * u
     out = (2.0 * u3 - 3.0 * u2 + 1.0) * values[i]
     out += (u3 - 2.0 * u2 + u) * dt * derivs[i]
-    i = i + 1
-    out += (-2.0 * u3 + 3.0 * u2) * values[i]
-    out += (u3 - u2) * dt * derivs[i]
+    out += (-2.0 * u3 + 3.0 * u2) * values[j]
+    out += (u3 - u2) * dt * derivs[j]
     return out
 
 
@@ -189,7 +194,7 @@ def _crossing_time(t0: float, t1: float, x0: float, d0: float, x1: float,
     flo = f0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        fm = _hermite_at(xs, ds, 0, mid, dt) - level
+        fm = _hermite_at(xs, ds, 0, 1, mid, dt) - level
         if fm == 0.0:
             return t0 + mid * dt
         if (fm > 0.0) == (flo > 0.0):
@@ -270,20 +275,21 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
                 return
         knots.insert(i, knot)
 
-    def rhs(s: np.ndarray) -> np.ndarray:
-        # a(s) f(x(s - 1)), reading x from the n samples stored
-        i, u, dt = _locate(buf[0, :n], s - 1.0)
+    def rhs(s: np.ndarray, lo: int) -> np.ndarray:
+        # a(s) f(x(s - 1)), reading x from the samples lo:n stored, whose
+        # first time must be at or before every s - 1
+        i, u, dt = _locate(buf[0, lo:n], s - 1.0)
         # a state near the double range overflows here; NonFiniteState reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            return (_coefficient_array(params, smoothing, s)
-                    * _nonlinearity_array(smoothing, _hermite_at(buf[1, :n], buf[2, :n], i, u, dt)))
+            x = _hermite_at(buf[1, lo:n], buf[2, lo:n], i, i + 1, u, dt)
+            return _coefficient_array(params, smoothing, s) * _nonlinearity_array(smoothing, x)
 
     # rows: times, values, derivs of the n samples stored so far; room for
     # every step, grown if echo knots outnumber the static ones
     buf = np.empty((3, math.ceil(t_end / step) + len(knots) + 16))
     buf[:, :2] = ((-1.0, 0.0), (h, h), (0.0, 0.0))
     n = 2
-    buf[:, 2] = (0.0, h, rhs(np.zeros(1))[0])  # the history junction's second copy
+    buf[:, 2] = (0.0, h, rhs(np.zeros(1), 0)[0])  # the history junction's second copy
     n = 3
     t = 0.0  # last stored time
     ki = 0  # the chunk ending at knots[ki] is the next to walk
@@ -309,8 +315,10 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
         m = int(np.searchsorted(pts[1:] - 1.0, t, side="right"))
         t0, t1 = pts[:m], pts[1:m + 1]
         sub_c = np.repeat(subs, counts)[:m]
-        # rhs at every midpoint and right end of the pass
-        g = rhs(np.concatenate([t0 + 0.5 * sub_c, t1]))
+        # rhs at every midpoint and right end of the pass, each after t, so
+        # the history is read from the last sample at or before t - 1 on
+        lo = int(np.searchsorted(buf[0, :n], t - 1.0, side="right")) - 1
+        g = rhs(np.concatenate([t0 + 0.5 * sub_c, t1]), lo)
         g_mid, g_right = g[:m], g[m:]
         g_left = np.empty(m)
         g_left[0] = buf[2, n - 1]
@@ -390,6 +398,19 @@ def corner_windows(params: Params, delta: float, zero_times, t_end: float) -> tu
     return tuple((w[0], w[1]) for w in merged)
 
 
+def _outside(ts, lo, hi):
+    """Mask of the sorted times ts that lie in none of the windows [lo[k], hi[k]].
+
+    The windows are sorted and disjoint; only those that overlap ts are cut
+    from it, by searching their bounds.
+    """
+    w = slice(np.searchsorted(hi, ts[0]), np.searchsorted(lo, ts[-1], side="right"))
+    # +1 where a window's first time sits and -1 past its last one
+    edges = np.bincount(np.searchsorted(ts, lo[w]), minlength=len(ts) + 1)
+    edges -= np.bincount(np.searchsorted(ts, hi[w], side="right"), minlength=len(ts) + 1)
+    return np.cumsum(edges[:-1]) == 0
+
+
 def compare_exact_smoothed(params: Params, h: float, sol: DenseSolution) -> dict:
     """Sup-norm deviation between the exact solution and a smoothed one.
 
@@ -399,26 +420,43 @@ def compare_exact_smoothed(params: Params, h: float, sol: DenseSolution) -> dict
     at sol's stored samples from t = 0 on, as their own values (which the
     interpolant returns there), and at the interpolated midpoints between
     them, and reported overall and outside the corner windows, where the
-    O(delta) corner mismatch sits. Both are maxima, so the query times are
-    neither sorted nor deduplicated. No integration is run here.
+    O(delta) corner mismatch sits. The midpoint of a zero-width interval is
+    its own sample, so it is not read again. The samples are read in blocks
+    of _BLOCK, each with the midpoints that follow its samples, so no array
+    built here grows with the samples; the maxima propagate NaN as
+    ndarray.max does. No integration is run here.
     """
     t_end = sol.end_time
     exact_path = propagate(params, ConstantHistory(h), t_end)
-
-    keep = sol.times >= 0.0
-    samples = sol.times[keep]
-    mids = 0.5 * (samples[:-1] + samples[1:])
-    ts = np.concatenate([samples, mids])
-    xs = np.concatenate([sol.values[keep], sol.values_at(mids)])
-    dev = np.abs(xs - np.interp(ts, exact_path.times, exact_path.values))
-
     windows = corner_windows(params, sol.smoothing.delta, path_zeros(exact_path), t_end)
-    outside = np.ones(len(ts), dtype=bool)
-    for lo, hi in windows:
-        outside &= ~((ts >= lo) & (ts <= hi))
+    knot_ts, knot_xs = np.array(exact_path.times), np.array(exact_path.values)
+    lo, hi = np.array(windows).reshape(-1, 2).T
+    times, values, derivs = sol.times, sol.values, sol.derivs
+    n = len(times)
+
+    tops, outs = [], []
+    for a in range(int(np.searchsorted(times, 0.0)), n, _BLOCK):
+        c = min(a + _BLOCK, n - 1)  # the intervals a:c start in this block
+        left, right = slice(a, c), slice(a + 1, c + 1)
+        t0, t1 = times[left], times[right]
+        wide = t1 > t0
+        if not wide.all():
+            left = a + np.flatnonzero(wide)
+            right = left + 1
+            t0, t1 = times[left], times[right]
+        dt = t1 - t0
+        mids = 0.5 * (t0 + t1)
+        for ts, xs in ((times[a:a + _BLOCK], values[a:a + _BLOCK]),
+                       (mids, _hermite_at(values, derivs, left, right, (mids - t0) / dt, dt))):
+            if len(ts):
+                dev = np.abs(xs - np.interp(ts, knot_ts, knot_xs))
+                tops.append(dev.max())
+                dev = dev[_outside(ts, lo, hi)]
+                if len(dev):
+                    outs.append(dev.max())
 
     return {
-        "max_dev_outside_corners": float(dev[outside].max()) if outside.any() else 0.0,
-        "max_dev_overall": float(dev.max()),
+        "max_dev_outside_corners": float(np.max(outs)) if outs else 0.0,
+        "max_dev_overall": float(np.max(tops)),
         "corner_windows": windows,
     }

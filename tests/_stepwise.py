@@ -101,7 +101,7 @@ def stepwise_integrate(params, smoothing, h, t_end, step=None):
         while ptr + 2 < len(times) and times[ptr + 1] <= q:
             ptr += 1
         t0, t1 = times[ptr], times[ptr + 1]
-        x = _hermite_at(values, derivs, ptr, (q - t0) / (t1 - t0), t1 - t0)
+        x = _hermite_at(values, derivs, ptr, ptr + 1, (q - t0) / (t1 - t0), t1 - t0)
         return coefficient_value(params, s, smoothing) * nonlinearity_value(smoothing, x)
 
     def push_echo(tau):

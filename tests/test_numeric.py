@@ -1,5 +1,6 @@
 """Tests for the fourth-order integrator and smoothing comparisons."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -312,16 +313,57 @@ def test_integrate_grows_its_buffer_and_matches_the_stepwise_reference():
     _assert_matches_the_stepwise_reference(sol, run)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(integrate_runs().filter(lambda run: run[2] != 0.0))
-def test_property_compare_matches_the_reference(run):
-    params, _, h, _, _ = run
-    sol = integrate(*run)
+def _assert_compare_matches_the_reference(params, h, sol):
     got, want = compare_exact_smoothed(params, h, sol), compare_reference(params, h, sol)
     assert got.keys() == want.keys()
     for key in ("max_dev_outside_corners", "max_dev_overall"):
         assert got[key].hex() == want[key].hex()
     assert got["corner_windows"] == want["corner_windows"]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(integrate_runs().filter(lambda run: run[2] != 0.0))
+def test_property_compare_matches_the_reference(run):
+    params, _, h, _, _ = run
+    sol = integrate(*run)
+    # blocks of 5 samples: every run crosses many block edges, and corner
+    # windows, at least 3 steps wide, straddle them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeric, "_BLOCK", 5)
+        _assert_compare_matches_the_reference(params, h, sol)
+
+
+@pytest.mark.parametrize("block", (4, 8192))
+def test_compare_matches_the_reference_on_a_repeated_interior_time(monkeypatch, block):
+    # a kink stored as integrate stores the history junction: one value, with
+    # its two one-sided derivatives, in turn at each offset within a block
+    params, h = Params(1.0, 0.25, 2.5, 1.5), -0.25
+    sol = integrate(params, SmoothingSpec(0.05), h, 4.0)
+    monkeypatch.setattr(numeric, "_BLOCK", block)
+    for k in range(100, 104):
+        kinked = dataclasses.replace(
+            sol, times=np.insert(sol.times, k, sol.times[k]),
+            values=np.insert(sol.values, k, sol.values[k]),
+            derivs=np.insert(sol.derivs, k, 0.5 * (sol.derivs[k - 1] + sol.derivs[k])))
+        _assert_compare_matches_the_reference(params, h, kinked)
+
+
+@pytest.mark.parametrize("block", (4, 8192))
+def test_compare_matches_the_reference_on_a_nan_value(monkeypatch, block):
+    params, h = Params(1.0, 0.25, 2.5, 1.5), -0.25
+    sol = integrate(params, SmoothingSpec(0.05), h, 6.0)
+    monkeypatch.setattr(numeric, "_BLOCK", block)
+    (lo, hi), *_ = compare_exact_smoothed(params, h, sol)["corner_windows"]
+    inside = int(np.searchsorted(sol.times, 0.5 * (lo + hi)))
+    outside = int(np.searchsorted(sol.times, hi + 0.5))
+    for k, nan_outside in ((inside, False), (outside, True)):
+        values = sol.values.copy()
+        values[k] = np.nan
+        edited = dataclasses.replace(sol, values=values)
+        rep = compare_exact_smoothed(params, h, edited)
+        assert math.isnan(rep["max_dev_overall"])
+        assert math.isnan(rep["max_dev_outside_corners"]) == nan_outside
+        _assert_compare_matches_the_reference(params, h, edited)
 
 
 @pytest.mark.parametrize("profile", tuple(Profile))
@@ -362,3 +404,20 @@ def test_values_at_peak_memory():
     # 72 bytes a point; clipping every query took 80, and gathering all four
     # Hermite operands before the sum took 105
     assert peak < 76 * len(ts)
+
+
+def test_compare_memory_does_not_grow_with_the_run():
+    # the compare reads the solution in blocks: a run four times as long
+    # adds only its exact path and windows, where whole-run arrays took
+    # about 113 bytes a sample
+    params = Params(1.0, 0.25, 2.5, 1.5)
+    peaks = []
+    for t_end in (30.0, 120.0):
+        sol = integrate(params, SmoothingSpec(0.0125), -0.25, t_end)
+        tracemalloc.start()
+        try:
+            compare_exact_smoothed(params, -0.25, sol)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
