@@ -17,17 +17,19 @@ Four studies live here:
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import ConstantHistory, PiecewisePath, path_sup_distance, propagate
 from .maps import _FAMILIES, _verdicts, classify, dual_params
-from .model import MAX_WORK, Params, RelayDDEError, SmoothingSpec
+from .model import MAX_WORK, Params, RelayDDEError, SmoothingSpec, _slot_setters
 
 if TYPE_CHECKING:
     from .tables import TableRow
 
 SHIFT_TOL = 1e-9
+_kind = itemgetter(0)  # the kind of a _verdicts tuple
 ATTRACTION_TOL = 1e-6
 
 
@@ -181,7 +183,7 @@ def coexistence_check(params: Params, *, horizon_periods: int = 30) -> Coexisten
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScanCell:
     """Classification outcome at one grid point."""
 
@@ -191,6 +193,18 @@ class ScanCell:
     p2: float
     kinds: tuple[str, ...]
     boundary: bool
+
+    def __init__(self, a1: float, a2: float, p1: float, p2: float, kinds: tuple[str, ...],
+                 boundary: bool) -> None:
+        _cell_a1(self, a1)
+        _cell_a2(self, a2)
+        _cell_p1(self, p1)
+        _cell_p2(self, p2)
+        _cell_kinds(self, kinds)
+        _cell_boundary(self, boundary)
+
+
+_cell_a1, _cell_a2, _cell_p1, _cell_p2, _cell_kinds, _cell_boundary = _slot_setters(ScanCell)
 
 
 @dataclass(frozen=True)
@@ -249,6 +263,7 @@ def scan(a1_range: tuple[float, float], a2_range: tuple[float, float],
         raise ValueError(f"a grid of {n_cells:,} cells with periods up to {t_max:.6g} asks for "
                          f"about {work:.3g} events, above the cap {MAX_WORK:,}")
     cells = []
+    add = cells.append
     for a1 in axes[0]:
         for a2 in axes[1]:
             for p1 in axes[2]:
@@ -256,11 +271,10 @@ def scan(a1_range: tuple[float, float], a2_range: tuple[float, float],
                     try:
                         params = Params(a1, a2, p1, p2)
                     except ValueError:
-                        cells.append(ScanCell(a1, a2, p1, p2, ("InvalidParams",), False))
+                        add(ScanCell(a1, a2, p1, p2, ("InvalidParams",), False))
                         continue
-                    *_, boundary, verdicts = _verdicts(params)
-                    cells.append(ScanCell(a1, a2, p1, p2, tuple(v[0] for v in verdicts),
-                                          boundary))
+                    found = _verdicts(params)  # (m, b, k, d, boundary, verdicts)
+                    add(ScanCell(a1, a2, p1, p2, tuple(map(_kind, found[-1])), found[-2]))
     # StableT needs |m| < 1 and UnstableT m > 1, so no cell holds both
     return ScanReport(axes=axes, cells=tuple(cells), overlap_free=True)
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -35,12 +36,14 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
 from dataclasses import asdict
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 from .model import Params, Profile, RelayDDEError, SmoothingSpec
 
-_CHUNK = 512  # rows of a smoothed simulate table turned into Python floats at a time
+# rows of a CSV table written at a time, and of a smoothed simulate table turned
+# into Python floats at a time
+_CHUNK = 512
 _Flags = dict[str, argparse.Action]
 
 
@@ -159,7 +162,8 @@ def _emit(args: argparse.Namespace, record: Callable[[], object], header: list[s
     by repr: cells must be Python floats, not numpy scalars), to stdout, or to
     --output and then the summary line, if any, to stdout.
 
-    The CSV is written as the rows come, never held whole.
+    The CSV is written as the rows come, never held whole: one write per
+    _CHUNK rows, each a system call when the stream is unbuffered.
     """
     if args.format == "json":
         text = json.dumps(record(), indent=2, allow_nan=False) + "\n"
@@ -170,9 +174,17 @@ def _emit(args: argparse.Namespace, record: Callable[[], object], header: list[s
     else:
         with (nullcontext(sys.stdout) if args.output is None
               else _resolve_output(args.output).open("w")) as out:
-            writer = csv.writer(out, lineterminator="\n")
+            block = io.StringIO()
+            writer = csv.writer(block, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            rows = iter(rows)
+            while True:
+                writer.writerows(islice(rows, _CHUNK))
+                if not block.tell():  # every row, and the header, is written
+                    break
+                out.write(block.getvalue())
+                block.seek(0)
+                block.truncate()
     if args.output is not None and summary is not None:
         print(summary)
 

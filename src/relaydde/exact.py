@@ -5,8 +5,8 @@ the relay feedback f(x(t - 1)) is locked to +-1 by the sign of the delayed
 value and a(t) is constant between switch times.  Solutions are therefore
 piecewise affine, and the dynamics is advanced exactly from event to event:
 
-  * coefficient switch times k*T and k*T + p1, read in order, with the
-    level each one starts, from model.switch_times,
+  * coefficient switch times k*T and k*T + p1, with the level each one
+    starts, walked in order on model's one switch schedule,
   * feedback flips one delay unit after each zero of the solution,
   * zeros of the solution, found in closed form on each affine piece.
 
@@ -33,7 +33,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .model import MAX_WORK, Params, RelayDDEError, coefficient_value, switch_times
+from .model import MAX_WORK, Params, RelayDDEError, _switch_schedule, coefficient_value
 
 # Two event times closer than this are treated as one simultaneous event.
 TIME_TOL = 1e-12
@@ -131,12 +131,14 @@ def _event_loop(
 ) -> tuple[list[float], list[float], list[float]]:
     """propagate's loop from the finite nonzero history value h: the knot
     times and values as lists, and zeros() of the path they make."""
-    if not math.isfinite(start_time):
+    tol, inf = TIME_TOL, math.inf
+    if not -inf < start_time < inf:  # NaN fails too
         raise ValueError(f"start_time must be finite, got {start_time!r}")
-    if not math.isfinite(t_end) or t_end <= start_time + TIME_TOL:
+    if not (t_end < inf and t_end > start_time + tol):
         raise ValueError("t_end must exceed start_time")
     span = t_end - start_time
-    rate = 4.0 + 8.0 / min(params.p1, params.p2, 1.0)
+    shortest = params.p1 if params.p1 < params.p2 else params.p2
+    rate = 4.0 + 8.0 / (shortest if shortest < 1.0 else 1.0)
     if 1000 + span * rate > MAX_WORK:
         raise ValueError(f"a span of {span:.6g} allows up to {1000 + span * rate:.3g} "
                          f"events, above the cap {MAX_WORK:,}")
@@ -146,25 +148,36 @@ def _event_loop(
     values = [x]
     zs: list[float] = []
     add_time, add_value, add_zero = times.append, values.append, zs.append
-    tol, inf = TIME_TOL, math.inf
     # a step is longer than TIME_TOL / 3, so it moves x off a zero by
     # level * step, which can round to 0.0 only for levels below 1e-280
-    placed_all = min(params.a1, params.a2) > 1e-280
+    placed_all = params.a1 > 1e-280 and params.a2 > 1e-280
     fb = 1.0 if h < 0.0 else -1.0
     t_flip = inf  # pending feedback flip time; at most one is ever pending
     # level on the current piece; a switch within TIME_TOL of t counts as passed
     level = coefficient_value(params, start_time)
-    switches = switch_times(params, start_time - tol, t_end)
-    t_switch, next_level = next(switches, (inf, level))
+    # the switches that switch_times(params, start_time - TIME_TOL, t_end)
+    # lists, walked in place: the next one, t_switch, is pattern[i] of period
+    # k and starts next_level.  The first event passes a placeholder switch at
+    # -inf, which keeps the level, and walks on to the first listed one.
+    start_tol = start_time - tol
+    T, pattern, k = _switch_schedule(params, start_tol)
+    n_phases, i = len(pattern), -1
+    t_switch, next_level = -inf, level
     t_last = t_end - tol
-    while t < t_last:
-        budget -= 1
-        if budget < 0:
-            raise _stall("event budget exceeded; dynamics did not stay slowly oscillating",
-                         t, x, params)
-        while t_switch <= t + tol:
+    for _ in range(budget):  # at most budget events; the else clause runs when all are used
+        if not t < t_last:
+            break
+        while t_switch <= t + tol:  # t + tol <= t_end, so no switch past t_end is taken
             level = next_level
-            t_switch, next_level = next(switches, (inf, level))
+            while True:
+                i += 1
+                if i == n_phases:
+                    i, k = 0, k + 1
+                phase, next_level = pattern[i]
+                t_switch = k * T + phase
+                # listed, or a period start past t_end, where switch_times stops
+                if start_tol <= t_switch <= t_end or i == 0 and t_switch > t_end:
+                    break
         t_stop = t_switch if t_switch < t_end else t_end
         if t_flip < t_stop:
             t_stop = t_flip
@@ -198,6 +211,10 @@ def _event_loop(
         if t_flip <= t + tol:
             t_flip = inf
             fb = -fb
+    else:
+        if t < t_last:
+            raise _stall("event budget exceeded; dynamics did not stay slowly oscillating",
+                         t, x, params)
     if times[-1] < t_end:  # an event landed within TIME_TOL of t_end
         if zs and zs[-1] == times[-1]:
             zs[-1] = t_end

@@ -22,6 +22,7 @@ reported as ShapeInvalid rather than silently trusted.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -138,8 +139,8 @@ def _validate_one_zero(params: Params, h: float) -> tuple[bool, str]:
     """Propagate two periods and check one zero per period with x(T) = -h."""
     T = params.period
     times, values, zs = _event_loop(params, h, 2.0 * T, 0.0)
-    per1 = sum(1 for z in zs if z < T)
-    per2 = sum(1 for z in zs if T <= z < 2.0 * T)
+    per1 = bisect_left(zs, T)  # zs is increasing
+    per2 = bisect_left(zs, 2.0 * T) - per1
     if per1 != 1 or per2 != 1 or len(zs) != 2:
         return False, f"expected 1 zero per period, found {per1}+{per2}"
     if zs[-1] >= 2.0 * T - 1.0 + 1e-12:
@@ -195,7 +196,8 @@ def _verdicts(params: Params) -> tuple[float, float, float, float, bool, list[tu
     """
     m, b = type1_coefficients(params)
     k, d = type2_coefficients(params)
-    if not all(map(math.isfinite, (m, b, k, d))):
+    inf = math.inf
+    if not (-inf < m < inf and -inf < b < inf and -inf < k < inf and -inf < d < inf):
         bad = [f"{name} = {v!r}" for name, v in zip("mbkd", (m, b, k, d)) if not math.isfinite(v)]
         raise ValueError(f"return-map coefficients are not finite ({', '.join(bad)}) at {params}")
     # k == -m exactly, and m > -1 for positive levels (m == -1 only when

@@ -15,7 +15,7 @@ sharp coefficient; the smoothed ramps and profiles are defined in numeric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator
 
@@ -29,7 +29,7 @@ class RelayDDEError(Exception):
     """Base class for domain errors raised by this package."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Params:
     """Two-level periodic coefficient data.
 
@@ -43,24 +43,38 @@ class Params:
     p1: float
     p2: float
 
-    def __post_init__(self) -> None:
-        a1, a2, p1, p2 = self.a1, self.a2, self.p1, self.p2
+    def __init__(self, a1: float, a2: float, p1: float, p2: float) -> None:
         # four positive finite floats need no conversion; anything else takes
         # the loop, which converts, or names the first offending field
         if not (float is type(a1) is type(a2) is type(p1) is type(p2)
                 and 0.0 < a1 < math.inf > a2 > 0.0 < p1 < math.inf > p2 > 0.0):
-            for name in ("a1", "a2", "p1", "p2"):
-                v = float(getattr(self, name))
+            checked = []
+            for name, raw in (("a1", a1), ("a2", a2), ("p1", p1), ("p2", p2)):
+                v = float(raw)
                 if not math.isfinite(v) or v <= 0.0:
-                    raise ValueError(f"{name} must be positive and finite, "
-                                     f"got {getattr(self, name)!r}")
-                object.__setattr__(self, name, v)
-        if self.p1 + self.p2 <= 1.0:
+                    raise ValueError(f"{name} must be positive and finite, got {raw!r}")
+                checked.append(v)
+            a1, a2, p1, p2 = checked
+        if p1 + p2 <= 1.0:
             raise ValueError("period p1 + p2 must exceed the delay 1")
+        _set_a1(self, a1)
+        _set_a2(self, a2)
+        _set_p1(self, p1)
+        _set_p2(self, p2)
 
     @property
     def period(self) -> float:
         return self.p1 + self.p2
+
+
+def _slot_setters(cls) -> tuple:
+    """The __set__ of each field slot of a frozen slotted dataclass, in field
+    order. A hand-written __init__ writes its fields through them, past the
+    frozen __setattr__, at about half the cost of object.__setattr__."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_set_a1, _set_a2, _set_p1, _set_p2 = _slot_setters(Params)
 
 
 class Profile(str, Enum):
@@ -85,18 +99,35 @@ class SmoothingSpec:
         object.__setattr__(self, "profile", Profile(self.profile))
 
 
+def _switch_schedule(
+    params: Params, start: float
+) -> tuple[float, tuple[tuple[float, float], ...], int]:
+    """The one statement of the coefficient's switch schedule, from start on.
+
+    Returns the period T, the per-period pattern ((0.0, a1), (p1, a2)) of
+    switch phases and the levels they start, and the first period k with a
+    switch k*T + phase at or after start.  The switches follow in pattern
+    order, period after period; switch_times lists them, and exact's event
+    loop walks them the same way.
+    """
+    T = params.period
+    pattern = ((0.0, params.a1), (params.p1, params.a2))
+    latest = pattern[-1][0]  # the phase of each period's latest switch
+    k = math.floor(start / T) - 1  # one period early, in case start / T rounds up
+    while k * T + latest < start:
+        k += 1
+    return T, pattern, k
+
+
 def switch_times(params: Params, start: float, stop: float) -> Iterator[tuple[float, float]]:
     """Yield, in increasing order, each switch time s in [start, stop] and the
     level starting there: (k*T, a1) and (k*T + p1, a2) for integer k."""
-    T, p1 = params.period, params.p1
-    k = math.floor(start / T) - 1  # one period early, in case start / T rounds up
+    T, pattern, k = _switch_schedule(params, start)
     while k * T <= stop:
-        s = k * T
-        if s >= start:
-            yield s, params.a1
-        s += p1
-        if start <= s <= stop:
-            yield s, params.a2
+        for phase, level in pattern:
+            s = k * T + phase
+            if start <= s <= stop:
+                yield s, level
         k += 1
 
 

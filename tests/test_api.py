@@ -2,8 +2,10 @@
 the README command lines."""
 
 import contextlib
+import dataclasses
 import io
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -13,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import relaydde
+from relaydde.analysis import ScanCell
 from relaydde.cli import main
+from relaydde.model import Params
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,6 +41,42 @@ def test_package_names_follow_their_submodule():
         mp.setattr(relaydde.numeric, "integrate", fake)
         assert relaydde.integrate is fake
     assert relaydde.integrate is original
+
+
+@pytest.mark.parametrize("record, fields, text", [
+    (Params(1.0, 6.0, 3.0, 1.0), {"a1": 1.0, "a2": 6.0, "p1": 3.0, "p2": 1.0},
+     "Params(a1=1.0, a2=6.0, p1=3.0, p2=1.0)"),
+    (ScanCell(1.0, 6.0, 3.0, 1.0, ("UnstableT",), False),
+     {"a1": 1.0, "a2": 6.0, "p1": 3.0, "p2": 1.0, "kinds": ("UnstableT",), "boundary": False},
+     "ScanCell(a1=1.0, a2=6.0, p1=3.0, p2=1.0, kinds=('UnstableT',), boundary=False)"),
+], ids=["Params", "ScanCell"])
+def test_records_keep_their_dataclass_contract(record, fields, text):
+    # the hand-written constructors of these two per-cell records keep what
+    # the generated ones gave: frozen fields, value equality and hash, repr,
+    # asdict, replace and pickling, with no per-instance __dict__
+    cls = type(record)
+    assert dataclasses.is_dataclass(record) and not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.a1 = 2.0
+    assert record == cls(**fields) and record != dataclasses.replace(record, a1=2.0)
+    assert hash(record) == hash(cls(**fields)) == hash(tuple(fields.values()))
+    assert repr(record) == text
+    assert dataclasses.asdict(record) == fields
+    assert list(dataclasses.asdict(record)) == list(fields)
+    moved = dataclasses.replace(record, p2=2.0)
+    assert type(moved) is cls and dataclasses.asdict(moved) == {**fields, "p2": 2.0}
+    assert dataclasses.asdict(record) == fields  # replace leaves the original as it was
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record and repr(copy) == text
+
+
+def test_replace_checks_params_like_the_constructor():
+    p = Params(1.0, 6.0, 3.0, 1.0)
+    assert dataclasses.replace(p, a1="2").a1 == 2.0
+    with pytest.raises(ValueError, match="^a2 must be positive and finite, got -1$"):
+        dataclasses.replace(p, a2=-1)
+    with pytest.raises(ValueError, match="^period p1 [+] p2 must exceed the delay 1$"):
+        dataclasses.replace(p, p1=0.5, p2=0.5)
 
 
 def test_readme_quick_start_runs():

@@ -10,6 +10,7 @@ and the numpy check runs each command in a fresh interpreter, because a
 module once imported stays in sys.modules.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -96,6 +97,39 @@ def test_simulate_csv_bytes_match_the_whole_table_writer(delta, t_end, chunk, to
         assert out.read_bytes() == want.encode()
     else:
         assert got.out == want.encode()
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that counts the writes it receives."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("delta, t_end", [(0.3, 90.0), (0.0, 1000.0)], ids=["smoothed", "exact"])
+def test_csv_tables_are_written_one_block_of_chunk_rows_at_a_time(delta, t_end, monkeypatch):
+    # on an unbuffered stdout (python -u, PYTHONUNBUFFERED=1) every write is a
+    # system call, so a table of n rows must take ceil(n / _CHUNK) writes, not n
+    params = Params(1.0, 0.25, 2.5, 1.5)
+    if delta:
+        sol = integrate(params, SmoothingSpec(delta), -0.25, t_end)
+        want = csv_reference(["t", "x", "dx"],
+                             zip(*(c.tolist() for c in (sol.times, sol.values, sol.derivs))))
+    else:
+        path = propagate(params, ConstantHistory(-0.25), t_end)
+        want = csv_reference(["t", "x"], path.breakpoints)
+    n = want.count("\n") - 1
+    assert n > 2 * cli_module._CHUNK
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["simulate", "--a1", "1", "--a2", "0.25", "--p1", "2.5", "--p2", "1.5",
+            "--h", "-0.25", "--t-end", repr(t_end), "--delta", repr(delta)]
+    assert main(argv) == 0
+    assert out.getvalue() == want
+    assert out.writes == -(-n // cli_module._CHUNK)
 
 
 def test_simulate_smoothed_json(capsys):

@@ -258,14 +258,21 @@ stretches = st.floats(0.1, 5.0)
 
 @st.composite
 def runs(draw):
-    """(params, h, start_time, t_end): start_time is 0, p1 or arbitrary."""
+    """(params, h, start_time, t_end): start_time is 0, p1, arbitrary, or a
+    few ulp from a switch k*T or k*T + p1, where the switch schedule's
+    one-period lookback decides which switch comes first."""
     a1, a2, p1 = draw(levels), draw(levels), draw(stretches)
     p2 = draw(st.floats(max(0.1, 1.0 - p1 + 1e-3), 5.0))
     params = Params(a1, a2, p1, p2)
     h = draw(st.floats(1e-3, 10.0)) * draw(st.sampled_from((-1.0, 1.0)))
-    start = draw(st.sampled_from((0.0, p1, None)))
+    start = draw(st.sampled_from((0.0, p1, None, "switch")))
     if start is None:
         start = draw(st.floats(-50.0, 50.0))
+    elif start == "switch":
+        start = draw(st.integers(-10, 10)) * params.period + draw(st.sampled_from((0.0, p1)))
+        ulps = draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            start = math.nextafter(start, math.copysign(math.inf, ulps))
     return params, h, start, start + draw(st.floats(0.5, 8.0)) * params.period
 
 
