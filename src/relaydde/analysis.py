@@ -17,8 +17,10 @@ Four studies live here:
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import ConstantHistory, PiecewisePath, path_sup_distance, propagate
@@ -207,21 +209,49 @@ class ScanCell:
 _cell_a1, _cell_a2, _cell_p1, _cell_p2, _cell_kinds, _cell_boundary = _slot_setters(ScanCell)
 
 
+class _ScanCells:
+    """The cells of a ScanReport, in grid order, each built from the axes when
+    read; nothing is cached, so a reader that streams them holds one at a time."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: ScanReport) -> None:
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.kinds)
+
+    def __iter__(self) -> Iterator[ScanCell]:
+        rep = self._report
+        for (a1, a2, p1, p2), kinds, boundary in zip(product(*rep.axes), rep.kinds,
+                                                      rep.boundary):
+            yield ScanCell(a1, a2, p1, p2, kinds, boundary)
+
+
 @dataclass(frozen=True)
 class ScanReport:
-    """Grid classification over a parameter box.
+    """Grid classification over a parameter box, stored by column.
 
-    overlap_free is always true: StableT needs |m| < 1 and UnstableT needs
-    m > 1, so no cell carries both.
+    kinds and boundary hold one entry per cell in grid order, the order of
+    itertools.product(*axes): a1 outermost, p2 innermost. Equal kinds tuples
+    are one shared object. The points are not stored; cells yields each one
+    as a ScanCell built from the axes. overlap_free is always true: StableT
+    needs |m| < 1 and UnstableT needs m > 1, so no cell carries both.
     """
 
     axes: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]
-    overlap_free: bool  # declared before cells: the JSON payload lists it first
-    cells: tuple[ScanCell, ...]
+    overlap_free: bool
+    kinds: tuple[tuple[str, ...], ...]
+    boundary: tuple[bool, ...]
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return tuple(len(ax) for ax in self.axes)
+
+    @property
+    def cells(self) -> _ScanCells:
+        """A read-only view: len() and repeated iteration over ScanCells."""
+        return _ScanCells(self)
 
 
 def _axis(lo: float, hi: float, n: int) -> tuple[float, ...]:
@@ -262,21 +292,22 @@ def scan(a1_range: tuple[float, float], a2_range: tuple[float, float],
     if work > MAX_WORK:
         raise ValueError(f"a grid of {n_cells:,} cells with periods up to {t_max:.6g} asks for "
                          f"about {work:.3g} events, above the cap {MAX_WORK:,}")
-    cells = []
-    add = cells.append
-    for a1 in axes[0]:
-        for a2 in axes[1]:
-            for p1 in axes[2]:
-                for p2 in axes[3]:
-                    try:
-                        params = Params(a1, a2, p1, p2)
-                    except ValueError:
-                        add(ScanCell(a1, a2, p1, p2, ("InvalidParams",), False))
-                        continue
-                    found = _verdicts(params)  # (m, b, k, d, boundary, verdicts)
-                    add(ScanCell(a1, a2, p1, p2, tuple(map(_kind, found[-1])), found[-2]))
+    kinds = []
+    boundary = []
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}  # one object per distinct kinds
+    for a1, a2, p1, p2 in product(*axes):
+        try:
+            params = Params(a1, a2, p1, p2)
+        except ValueError:
+            kinds.append(("InvalidParams",))
+            boundary.append(False)
+            continue
+        found = _verdicts(params)  # (m, b, k, d, boundary, verdicts)
+        cell_kinds = tuple(map(_kind, found[-1]))
+        kinds.append(shared.setdefault(cell_kinds, cell_kinds))
+        boundary.append(found[-2])
     # StableT needs |m| < 1 and UnstableT m > 1, so no cell holds both
-    return ScanReport(axes=axes, cells=tuple(cells), overlap_free=True)
+    return ScanReport(axes=axes, overlap_free=True, kinds=tuple(kinds), boundary=tuple(boundary))
 
 
 @dataclass(frozen=True)

@@ -255,15 +255,17 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     from .analysis import reproduce_tables
 
     results = reproduce_tables()
-    for res in results:  # the PASS/FAIL report, one line per row, on stdout
+    lines = []  # the PASS/FAIL report, one line per row, written to stdout at once
+    for res in results:
         row, p = res.row, res.row.params
         computed = "n/a" if res.computed_h is None else f"{res.computed_h:+.6f}"
-        print(f"{row.table_id} #{row.index:<2d} "
-              f"(a1={p.a1:.6g}, a2={p.a2:.6g}, p1={p.p1:.6g}, p2={p.p2:.6g})  "
-              f"h_ref={row.h_star_expected:+.6g}  h={computed}  "
-              f"period={res.computed_period:.6g}  {res.status}")
+        lines.append(f"{row.table_id} #{row.index:<2d} "
+                     f"(a1={p.a1:.6g}, a2={p.a2:.6g}, p1={p.p1:.6g}, p2={p.p2:.6g})  "
+                     f"h_ref={row.h_star_expected:+.6g}  h={computed}  "
+                     f"period={res.computed_period:.6g}  {res.status}\n")
     n_pass = sum(res.status == "PASS" for res in results)
-    print(f"{len(results)} rows: {n_pass} PASS, {len(results) - n_pass} FAIL")
+    lines.append(f"{len(results)} rows: {n_pass} PASS, {len(results) - n_pass} FAIL\n")
+    sys.stdout.write("".join(lines))
     if args.output is not None:
         records = [{"table": r.row.table_id, "index": r.row.index,
                     **asdict(r.row.params),
@@ -286,9 +288,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     ranges = tuple((c * (1.0 - span), c * (1.0 + span)) for c in centers)
     report = scan(*ranges, args.resolution)
     # cells per kind in order of first appearance, so no run depends on PYTHONHASHSEED
-    counts = Counter(k for cell in report.cells for k in dict.fromkeys(cell.kinds))
+    counts = Counter(k for kinds in report.kinds for k in dict.fromkeys(kinds))
     listed = ", ".join(f"{k}={n}" for k, n in sorted(counts.items()))
-    _emit(args, lambda: {**asdict(report), "kind_counts": dict(counts)},
+    _emit(args, lambda: {"axes": report.axes, "overlap_free": report.overlap_free,
+                         "cells": [asdict(c) for c in report.cells],
+                         "kind_counts": dict(counts)},
           ["a1", "a2", "p1", "p2", "kinds", "boundary"],
           ([c.a1, c.a2, c.p1, c.p2, ";".join(c.kinds), c.boundary] for c in report.cells),
           f"{len(report.cells)} cells, overlap_free={report.overlap_free}, {listed}")

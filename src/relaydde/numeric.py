@@ -80,7 +80,7 @@ class DenseSolution:
         n = len(self.times)
         if n < 2 or len(self.values) != n or len(self.derivs) != n:
             raise ValueError("times, values and derivs must share a length >= 2")
-        if np.any(np.diff(self.times) < 0.0):
+        if np.any(self.times[1:] < self.times[:-1]):  # a bool per sample, no float copy
             raise ValueError("times must be non-decreasing")
 
     @property

@@ -1,8 +1,11 @@
 """Behavioral tests for the experiment layer."""
 
+import gc
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
+from itertools import product
 
 import pytest
 
@@ -11,6 +14,7 @@ from relaydde.analysis import (
     ConvergenceFailed,
     PairingFailed,
     RowResult,
+    ScanCell,
     coexistence_check,
     grade_row,
     reproduce_tables,
@@ -300,12 +304,67 @@ def test_scan_caps_its_estimated_events_before_any_cell_runs(p2_hi, refused, mon
 
 
 def test_scan_jsonable():
+    # the report's fields, and each cell as the CLI's JSON payload lists it
     rep = scan((0.9, 1.1), (5.4, 6.6), (2.7, 3.3), (0.9, 1.1), 2)
     decoded = json.loads(json.dumps(asdict(rep)))
+    assert list(decoded) == ["axes", "overlap_free", "kinds", "boundary"]
     assert decoded["overlap_free"] is True
-    assert len(decoded["cells"]) == 16
-    assert decoded["cells"][0]["kinds"][0] == "UnstableT"
     assert len(decoded["axes"]) == 4
+    cells = json.loads(json.dumps([asdict(c) for c in rep.cells]))
+    assert len(cells) == 16
+    assert list(cells[0]) == ["a1", "a2", "p1", "p2", "kinds", "boundary"]
+    assert cells[0]["kinds"][0] == "UnstableT"
+    assert [c["kinds"] for c in cells] == decoded["kinds"]
+
+
+def _scan_cells_reference(axes):
+    """Each grid point's ScanCell, built one by one in nested loops."""
+    cells = []
+    for a1 in axes[0]:
+        for a2 in axes[1]:
+            for p1 in axes[2]:
+                for p2 in axes[3]:
+                    try:
+                        params = Params(a1, a2, p1, p2)
+                    except ValueError:
+                        cells.append(ScanCell(a1, a2, p1, p2, ("InvalidParams",), False))
+                        continue
+                    found = maps._verdicts(params)
+                    cells.append(ScanCell(a1, a2, p1, p2, tuple(v[0] for v in found[-1]),
+                                          found[-2]))
+    return cells
+
+
+def test_scan_cells_view_contract():
+    # a box around (1, 6, 3, 1) reaching below p1 + p2 = 1, so that it holds
+    # unconstructible points as well as several kinds
+    rep = scan((0.5, 1.5), (3.0, 9.0), (0.2, 4.0), (0.2, 2.0), (3, 4, 5, 6))
+    view = rep.cells
+    assert len(view) == len(rep.kinds) == len(rep.boundary) == 3 * 4 * 5 * 6
+    first, second = list(view), list(view)
+    assert first == second
+    assert [(c.a1, c.a2, c.p1, c.p2) for c in first] == list(product(*rep.axes))
+    assert first == _scan_cells_reference(rep.axes)
+    assert {("InvalidParams",), ("UnstableT", "Diverges2T")} <= set(rep.kinds)
+    # equal kinds tuples are one object
+    assert len({id(k) for k in rep.kinds}) == len(set(rep.kinds))
+
+
+def test_scan_keeps_no_object_per_cell():
+    # the kinds and boundary columns take a pointer each per cell, 16 bytes;
+    # a ScanCell and its own kinds tuple per cell took about 136
+    box = ((0.5, 1.5), (3.0, 9.0), (0.2, 4.0), (0.2, 2.0))
+    scan(*box, 2)  # lazy imports and first-call set-up outside the trace
+    gc.collect()  # a full collection also empties the interpreter's free lists
+    tracemalloc.start()
+    try:
+        rep = scan(*box, (7, 8, 9, 10))
+        gc.collect()  # so that free-listed temporaries do not count as kept
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.cells) == 5040
+    assert kept <= 48 * 5040
 
 
 # --- smoothing convergence ----------------------------------------------------

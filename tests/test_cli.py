@@ -132,6 +132,18 @@ def test_csv_tables_are_written_one_block_of_chunk_rows_at_a_time(delta, t_end, 
     assert out.writes == -(-n // cli_module._CHUNK)
 
 
+@pytest.mark.parametrize("output", [None, "rows.csv"], ids=["stdout", "output"])
+def test_tables_report_is_written_in_one_block(output, tmp_path, monkeypatch):
+    # on an unbuffered stdout every write is a system call: the 54-line report
+    # takes one, where a print per line took two per line
+    monkeypatch.chdir(tmp_path)
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["tables"] + (["--output", output] if output else [])) == 3
+    assert out.getvalue().count("\n") == len(ROWS) + 1
+    assert out.writes == 1
+
+
 def test_simulate_smoothed_json(capsys):
     code = main(["simulate", "--a1", "1", "--a2", "6", "--p1", "3", "--p2", "1",
                  "--h", "-0.5", "--t-end", "6", "--delta", "0.05",

@@ -174,6 +174,34 @@ def test_dense_solution_csv_and_lookup():
                       SmoothingSpec(0.05))
 
 
+@given(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, math.inf, -math.inf, math.nan]),
+                min_size=2, max_size=6))
+def test_dense_solution_order_check_agrees_with_the_differences(times):
+    # finite, infinite and NaN times: refused exactly when a difference is negative
+    ts = np.array(times)
+    try:
+        DenseSolution(0.0, 0.1, ts, ts, ts, (), SmoothingSpec(0.05))
+        refused = False
+    except ValueError:
+        refused = True
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert refused == bool(np.any(np.diff(ts) < 0.0))
+
+
+def test_dense_solution_order_check_copies_no_times():
+    # comparing neighbours holds a bool per sample; the differences of the
+    # times took a float copy first, about 9 bytes a sample
+    n = 10**6
+    times = np.arange(n, dtype=float)
+    tracemalloc.start()
+    try:
+        DenseSolution(-1.0, 1.0, times, times, times, (), SmoothingSpec(0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n
+
+
 def test_compare_reads_the_half_width_of_the_solution():
     params = Params(1.0, 0.25, 2.5, 1.5)
     spec = SmoothingSpec(0.05, Profile.SMOOTHEXP)
