@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import ConstantHistory, PiecewisePath, path_sup_distance, propagate
 from .maps import _FAMILIES, _verdicts, classify, dual_params
-from .model import MAX_WORK, Params, RelayDDEError, SmoothingSpec, _slot_setters
+from .model import MAX_WORK, Params, RelayDDEError, SmoothingSpec
 
 if TYPE_CHECKING:
     from .tables import TableRow
@@ -185,7 +185,7 @@ def coexistence_check(params: Params, *, horizon_periods: int = 30) -> Coexisten
     )
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ScanCell:
     """Classification outcome at one grid point."""
 
@@ -195,18 +195,6 @@ class ScanCell:
     p2: float
     kinds: tuple[str, ...]
     boundary: bool
-
-    def __init__(self, a1: float, a2: float, p1: float, p2: float, kinds: tuple[str, ...],
-                 boundary: bool) -> None:
-        _cell_a1(self, a1)
-        _cell_a2(self, a2)
-        _cell_p1(self, p1)
-        _cell_p2(self, p2)
-        _cell_kinds(self, kinds)
-        _cell_boundary(self, boundary)
-
-
-_cell_a1, _cell_a2, _cell_p1, _cell_p2, _cell_kinds, _cell_boundary = _slot_setters(ScanCell)
 
 
 class _ScanCells:

@@ -248,23 +248,15 @@ def zeros(path: PiecewisePath) -> list[float]:
     return merged
 
 
-def path_sup_distance(
-    p: PiecewisePath,
-    q: PiecewisePath,
-    t0: float | None = None,
-    t1: float | None = None,
-) -> float:
+def path_sup_distance(p: PiecewisePath, q: PiecewisePath, t0: float, t1: float) -> float:
     """Exact sup norm of p - q over [t0, t1].
 
     Both paths are piecewise affine, so their difference is too, and the sup
-    is attained at a knot of one of them (or at an interval end).  Defaults
-    to the overlap of the two time ranges.
+    is attained at a knot of one of them (or at an interval end).
     """
-    lo = max(p.times[0], q.times[0]) if t0 is None else t0
-    hi = min(p.times[-1], q.times[-1]) if t1 is None else t1
-    if not lo < hi:
+    if not t0 < t1:
         raise ValueError("paths do not overlap on a nontrivial interval")
-    knots = {lo, hi}
+    knots = {t0, t1}
     for path in (p, q):
-        knots.update(t for t in path.times if lo <= t <= hi)
+        knots.update(t for t in path.times if t0 <= t <= t1)
     return max(abs(p.value_at(s) - q.value_at(s)) for s in knots)

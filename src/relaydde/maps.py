@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .exact import DegenerateStall, _event_loop, _value_at
+from .exact import TIME_TOL, DegenerateStall, _event_loop, _value_at
 from .model import Params, RelayDDEError
 
 STABLE_T = "StableT"
@@ -128,7 +128,7 @@ def _validate_two_zero(params: Params, h: float) -> tuple[bool, str]:
     _, values, zs = _event_loop(params, h, T, 0.0)
     if len(zs) != 2:
         return False, f"expected 2 zeros in one period, found {len(zs)}"
-    if zs[-1] >= T - 1.0 + 1e-12:
+    if zs[-1] >= T - 1.0 + TIME_TOL:
         return False, "second zero lands within one delay of the period end"
     if abs(values[-1] - h) > RETURN_TOL * max(1.0, abs(h)):
         return False, f"period endpoint {values[-1]!r} does not return to {h!r}"
@@ -143,7 +143,7 @@ def _validate_one_zero(params: Params, h: float) -> tuple[bool, str]:
     per2 = bisect_left(zs, 2.0 * T) - per1
     if per1 != 1 or per2 != 1 or len(zs) != 2:
         return False, f"expected 1 zero per period, found {per1}+{per2}"
-    if zs[-1] >= 2.0 * T - 1.0 + 1e-12:
+    if zs[-1] >= 2.0 * T - 1.0 + TIME_TOL:
         return False, "second zero lands within one delay of the horizon end"
     scale = max(1.0, abs(h))
     if abs(_value_at(times, values, T) + h) > RETURN_TOL * scale:

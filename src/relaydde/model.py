@@ -15,7 +15,7 @@ sharp coefficient; the smoothed ramps and profiles are defined in numeric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -67,14 +67,10 @@ class Params:
         return self.p1 + self.p2
 
 
-def _slot_setters(cls) -> tuple:
-    """The __set__ of each field slot of a frozen slotted dataclass, in field
-    order. A hand-written __init__ writes its fields through them, past the
-    frozen __setattr__, at about half the cost of object.__setattr__."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
-_set_a1, _set_a2, _set_p1, _set_p2 = _slot_setters(Params)
+# Params.__init__ writes its fields through these slot setters, past the
+# frozen __setattr__, at about half the cost of object.__setattr__
+_set_a1, _set_a2, _set_p1, _set_p2 = (
+    Params.a1.__set__, Params.a2.__set__, Params.p1.__set__, Params.p2.__set__)
 
 
 class Profile(str, Enum):

@@ -51,9 +51,10 @@ def test_package_names_follow_their_submodule():
      "ScanCell(a1=1.0, a2=6.0, p1=3.0, p2=1.0, kinds=('UnstableT',), boundary=False)"),
 ], ids=["Params", "ScanCell"])
 def test_records_keep_their_dataclass_contract(record, fields, text):
-    # the hand-written constructors of these two per-cell records keep what
-    # the generated ones gave: frozen fields, value equality and hash, repr,
-    # asdict, replace and pickling, with no per-instance __dict__
+    # both per-cell records, Params through its hand-written constructor and
+    # ScanCell through the generated one, keep the dataclass contract: frozen
+    # fields, value equality and hash, repr, asdict, replace and pickling,
+    # with no per-instance __dict__
     cls = type(record)
     assert dataclasses.is_dataclass(record) and not hasattr(record, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -244,9 +244,16 @@ def test_path_sup_distance_exact():
     p = PiecewisePath(0.0, (0.0, 2.0), (0.0, 2.0))
     q = PiecewisePath(0.0, (0.0, 1.0, 2.0), (0.0, 2.0, 2.0))
     # difference peaks at the interior knot of q
-    assert abs(path_sup_distance(p, q) - 1.0) < 1e-15
+    assert abs(path_sup_distance(p, q, 0.0, 2.0) - 1.0) < 1e-15
     with pytest.raises(ValueError):
         path_sup_distance(p, q, 3.0, 4.0)
+
+
+def test_path_sup_distance_refuses_an_empty_window():
+    p = PiecewisePath(0.0, (0.0, 2.0), (0.0, 2.0))
+    for t0, t1 in ((2.0, 2.0), (1.5, 0.5)):
+        with pytest.raises(ValueError, match="do not overlap on a nontrivial interval"):
+            path_sup_distance(p, p, t0, t1)
 
 
 # --- properties over random runs ---------------------------------------------

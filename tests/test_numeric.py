@@ -220,6 +220,26 @@ def test_values_at_refuses_nan():
             sol.values_at(ts)
 
 
+def test_values_at_clamps_a_query_within_its_slack():
+    # a query at most 1e-9 outside the stored times reads the end sample;
+    # one further out is refused
+    sol = integrate(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.05), -0.25, 3.0)
+    lo, hi = float(sol.times[0]), sol.end_time
+    assert sol.values_at(lo - 5e-10) == sol.values[0]
+    assert sol.values_at(hi + 5e-10) == sol.values[-1]
+    assert list(sol.values_at([lo - 5e-10, hi + 5e-10])) == [sol.values[0], sol.values[-1]]
+    for t in (lo - 2e-9, hi + 2e-9):
+        with pytest.raises(ValueError, match="outside the stored range"):
+            sol.values_at(t)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_integrate_refuses_a_history_that_is_not_finite(h):
+    # checked before run_step, which would refuse the sharp model here
+    with pytest.raises(ValueError, match="history value h must be finite"):
+        integrate(Params(1.0, 0.25, 2.5, 1.5), SmoothingSpec(0.0), h, 5.0)
+
+
 def test_smoothexp_profile_oscillates():
     sol = integrate(Params(6.0, 1.0, 1.0, 3.0),
                     SmoothingSpec(0.05, Profile.SMOOTHEXP), -1.8, 26.0)
