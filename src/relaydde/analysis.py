@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import ConstantHistory, PiecewisePath, path_sup_distance, propagate
-from .maps import _FAMILIES, _verdicts, classify, dual_params
+from .maps import STABLE_2T, UNSTABLE_T, _FAMILIES, _verdicts, classify, dual_params
 from .model import MAX_WORK, Params, RelayDDEError, SmoothingSpec
 
 if TYPE_CHECKING:
@@ -121,12 +121,12 @@ def coexistence_check(params: Params, *, horizon_periods: int = 30) -> Coexisten
     if horizon_periods < 3:
         raise ValueError(f"horizon_periods must be at least 3, got {horizon_periods}")
     verdicts = classify(params)
-    unstable = next((v for v in verdicts if v.kind == "UnstableT" and v.validated), None)
+    unstable = next((v for v in verdicts if v.kind == UNSTABLE_T and v.validated), None)
     if unstable is None:
         raise PairingFailed("no validated unstable period-T orbit at these parameters")
     dual = dual_params(params)
     dual_verdicts = classify(dual)
-    stable = next((v for v in dual_verdicts if v.kind == "Stable2T" and v.validated), None)
+    stable = next((v for v in dual_verdicts if v.kind == STABLE_2T and v.validated), None)
     if stable is None:
         raise PairingFailed("dual parameters carry no validated stable period-2T orbit")
 

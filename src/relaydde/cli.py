@@ -36,7 +36,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
 from dataclasses import asdict
-from itertools import chain, islice
+from itertools import chain, islice, product
 from pathlib import Path
 
 from .model import Params, Profile, RelayDDEError, SmoothingSpec
@@ -290,12 +290,17 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     # cells per kind in order of first appearance, so no run depends on PYTHONHASHSEED
     counts = Counter(k for kinds in report.kinds for k in dict.fromkeys(kinds))
     listed = ", ".join(f"{k}={n}" for k, n in sorted(counts.items()))
+    header = ["a1", "a2", "p1", "p2", "kinds", "boundary"]
+
+    def cells():  # each cell's (a1, a2, p1, p2), kinds and boundary, in grid order
+        return zip(product(*report.axes), report.kinds, report.boundary)
+
     _emit(args, lambda: {"axes": report.axes, "overlap_free": report.overlap_free,
-                         "cells": [asdict(c) for c in report.cells],
+                         "cells": [dict(zip(header, (*point, kinds, boundary)))
+                                   for point, kinds, boundary in cells()],
                          "kind_counts": dict(counts)},
-          ["a1", "a2", "p1", "p2", "kinds", "boundary"],
-          ([c.a1, c.a2, c.p1, c.p2, ";".join(c.kinds), c.boundary] for c in report.cells),
-          f"{len(report.cells)} cells, overlap_free={report.overlap_free}, {listed}")
+          header, ([*point, ";".join(kinds), boundary] for point, kinds, boundary in cells()),
+          f"{len(report.kinds)} cells, overlap_free={report.overlap_free}, {listed}")
     return 0
 
 

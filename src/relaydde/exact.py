@@ -6,7 +6,7 @@ value and a(t) is constant between switch times.  Solutions are therefore
 piecewise affine, and the dynamics is advanced exactly from event to event:
 
   * coefficient switch times k*T and k*T + p1, with the level each one
-    starts, walked in order on model's one switch schedule,
+    starts, walked in place in the order model.switch_times lists them,
   * feedback flips one delay unit after each zero of the solution,
   * zeros of the solution, found in closed form on each affine piece.
 
@@ -33,7 +33,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .model import MAX_WORK, Params, RelayDDEError, _switch_schedule, coefficient_value
+from .model import MAX_WORK, Params, RelayDDEError, _first_period, coefficient_value
 
 # Two event times closer than this are treated as one simultaneous event.
 TIME_TOL = 1e-12
@@ -79,20 +79,8 @@ class PiecewisePath:
         if any(map(operator.le, self.times[1:], self.times)):
             raise ValueError("knot times must be strictly increasing")
 
-    @property
-    def end_time(self) -> float:
-        return self.times[-1]
-
-    @property
-    def end_value(self) -> float:
-        return self.values[-1]
-
-    @property
-    def breakpoints(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.times, self.values))
-
     def value_at(self, t: float) -> float:
-        """Evaluate the path at time t inside [start_time, end_time]."""
+        """Evaluate the path at time t inside [times[0], times[-1]]."""
         return _value_at(self.times, self.values, t)
 
 
@@ -102,8 +90,8 @@ def _value_at(times, values, t: float) -> float:
     if not (t0 - TIME_TOL <= t <= t1 + TIME_TOL):  # NaN fails too
         raise ValueError(f"time {t!r} outside path range [{t0}, {t1}]")
     t = min(max(t, t0), t1)
-    i = bisect_right(times, t) - 1
-    i = min(max(i, 0), len(times) - 2)
+    # t >= times[0], so bisect_right is at least 1
+    i = min(bisect_right(times, t) - 1, len(times) - 2)
     ta, tb = times[i], times[i + 1]
     va, vb = values[i], values[i + 1]
     return va + (vb - va) * (t - ta) / (tb - ta)
@@ -155,29 +143,25 @@ def _event_loop(
     t_flip = inf  # pending feedback flip time; at most one is ever pending
     # level on the current piece; a switch within TIME_TOL of t counts as passed
     level = coefficient_value(params, start_time)
-    # the switches that switch_times(params, start_time - TIME_TOL, t_end)
-    # lists, walked in place: the next one, t_switch, is pattern[i] of period
-    # k and starts next_level.  The first event passes a placeholder switch at
-    # -inf, which keeps the level, and walks on to the first listed one.
-    start_tol = start_time - tol
-    T, pattern, k = _switch_schedule(params, start_tol)
-    n_phases, i = len(pattern), -1
-    t_switch, next_level = -inf, level
+    # the next switch t_switch and the level it starts, walked in place from
+    # the first switch at or after start_time - TIME_TOL: k*T starts a1 and
+    # k*T + p1 starts a2, period after period, as switch_times lists them
+    T, p1, a1, a2 = params.period, params.p1, params.a1, params.a2
+    k = _first_period(params, start_time - tol)
+    in_second = k * T < start_time - tol  # the first switch is k*T + p1
+    t_switch, next_level = (k * T + p1, a2) if in_second else (k * T, a1)
     t_last = t_end - tol
     for _ in range(budget):  # at most budget events; the else clause runs when all are used
         if not t < t_last:
             break
         while t_switch <= t + tol:  # t + tol <= t_end, so no switch past t_end is taken
             level = next_level
-            while True:
-                i += 1
-                if i == n_phases:
-                    i, k = 0, k + 1
-                phase, next_level = pattern[i]
-                t_switch = k * T + phase
-                # listed, or a period start past t_end, where switch_times stops
-                if start_tol <= t_switch <= t_end or i == 0 and t_switch > t_end:
-                    break
+            if in_second:
+                k += 1
+                t_switch, next_level = k * T, a1
+            else:
+                t_switch, next_level = k * T + p1, a2
+            in_second = not in_second
         t_stop = t_switch if t_switch < t_end else t_end
         if t_flip < t_stop:
             t_stop = t_flip

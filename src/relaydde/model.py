@@ -95,33 +95,28 @@ class SmoothingSpec:
         object.__setattr__(self, "profile", Profile(self.profile))
 
 
-def _switch_schedule(
-    params: Params, start: float
-) -> tuple[float, tuple[tuple[float, float], ...], int]:
-    """The one statement of the coefficient's switch schedule, from start on.
+def _first_period(params: Params, start: float) -> int:
+    """The first period k with a switch at or after start.
 
-    Returns the period T, the per-period pattern ((0.0, a1), (p1, a2)) of
-    switch phases and the levels they start, and the first period k with a
-    switch k*T + phase at or after start.  The switches follow in pattern
-    order, period after period; switch_times lists them, and exact's event
-    loop walks them the same way.
+    Each period k has two switches: k*T starts a1 and k*T + p1 starts a2.
+    switch_times lists them in that order, period after period, and exact's
+    event loop walks them the same way from the first one at or after its
+    start.
     """
-    T = params.period
-    pattern = ((0.0, params.a1), (params.p1, params.a2))
-    latest = pattern[-1][0]  # the phase of each period's latest switch
+    T, p1 = params.period, params.p1
     k = math.floor(start / T) - 1  # one period early, in case start / T rounds up
-    while k * T + latest < start:
+    while k * T + p1 < start:
         k += 1
-    return T, pattern, k
+    return k
 
 
 def switch_times(params: Params, start: float, stop: float) -> Iterator[tuple[float, float]]:
     """Yield, in increasing order, each switch time s in [start, stop] and the
     level starting there: (k*T, a1) and (k*T + p1, a2) for integer k."""
-    T, pattern, k = _switch_schedule(params, start)
+    T, p1, a1, a2 = params.period, params.p1, params.a1, params.a2
+    k = _first_period(params, start)
     while k * T <= stop:
-        for phase, level in pattern:
-            s = k * T + phase
+        for s, level in ((k * T, a1), (k * T + p1, a2)):
             if start <= s <= stop:
                 yield s, level
         k += 1

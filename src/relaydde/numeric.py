@@ -250,30 +250,25 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
     delta = smoothing.delta
 
     # the sorted knots: ramp edges, the integer lattice where the history
-    # junction echoes, and t_end, at least BREAK_TOL apart; the walk visits
-    # them by index, and dynamic echo knots are inserted ahead of it
-    edges = (s + off for s, _ in switch_times(params, 0.0, t_end + delta)
-             for off in (-delta, delta))
-    statics = [e for e in edges if BREAK_TOL < e < t_end - BREAK_TOL]
-    statics += [float(j) for j in range(1, math.ceil(t_end - BREAK_TOL))]
-    knots: list[float] = []
-    for s in sorted(statics):
-        if not knots or s - knots[-1] > BREAK_TOL:
-            knots.append(s)
-    knots.append(t_end)
+    # junction echoes, and t_end; the walk visits them by index, and dynamic
+    # echo knots are inserted ahead of it
+    knots = [t_end]
 
-    levels = np.array((-delta, 0.0, delta))
-
-    def push_echo(tau: float) -> None:
-        # tau >= t, so the knot lands beyond the pass being walked
-        knot = tau + 1.0
-        if knot >= t_end - BREAK_TOL:
+    def add_knot(knot: float) -> None:
+        # admitted inside (BREAK_TOL, t_end - BREAK_TOL), more than BREAK_TOL
+        # from every other knot; knots[i] exists, as t_end is the last knot
+        if not BREAK_TOL < knot < t_end - BREAK_TOL:
             return
         i = bisect.bisect_left(knots, knot)
-        for nb in (i - 1, i):
-            if 0 <= nb < len(knots) and abs(knots[nb] - knot) <= BREAK_TOL:
-                return
+        if i and knot - knots[i - 1] <= BREAK_TOL or knots[i] - knot <= BREAK_TOL:
+            return
         knots.insert(i, knot)
+
+    edges = [s + off for s, _ in switch_times(params, 0.0, t_end + delta)
+             for off in (-delta, delta)]
+    for knot in sorted(edges + [float(j) for j in range(1, math.ceil(t_end - BREAK_TOL))]):
+        add_knot(knot)
+    levels = np.array((-delta, 0.0, delta))
 
     def rhs(s: np.ndarray, lo: int) -> np.ndarray:
         # a(s) f(x(s - 1)), reading x from the samples lo:n stored, whose
@@ -336,7 +331,7 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
         # _crossing_time's test: x - level is zero after the step, or changes
         # sign from nonzero before it. The crossings come in step order, and
         # none is searched from the first step with t0 + 1 >= t_end - BREAK_TOL
-        # on: push_echo would drop its knot, as tau >= t0 and rounding is monotone
+        # on: add_knot would drop its knot, as tau >= t0 and rounding is monotone
         above = xs[:, None] > levels
         on = xs[:, None] == levels
         for j, k in zip(*np.nonzero(on[1:] | ((above[:-1] != above[1:]) & ~on[:-1]))):
@@ -346,7 +341,7 @@ def integrate(params: Params, smoothing: SmoothingSpec, h: float,
             tau = _crossing_time(left, float(t1[j]), float(xs[j]), float(g_left[j]),
                                  float(xs[j + 1]), float(g_right[j]), float(levels[k]))
             if tau is not None:
-                push_echo(tau)
+                add_knot(tau + 1.0)  # tau >= t, so the knot lands beyond this pass
 
         if n + m > buf.shape[1]:
             buf = np.concatenate([buf[:, :n], np.empty((3, m + buf.shape[1] // 4))], axis=1)
@@ -399,16 +394,15 @@ def corner_windows(params: Params, delta: float, zero_times, t_end: float) -> tu
 
 
 def _outside(ts, lo, hi):
-    """Mask of the sorted times ts that lie in none of the windows [lo[k], hi[k]].
+    """Mask of the times ts that lie in none of the windows [lo[k], hi[k]].
 
-    The windows are sorted and disjoint; only those that overlap ts are cut
-    from it, by searching their bounds.
+    The windows are sorted and disjoint, so a time lies in one only if it
+    lies in the last window that opens at or before it, window k.
     """
-    w = slice(np.searchsorted(hi, ts[0]), np.searchsorted(lo, ts[-1], side="right"))
-    # +1 where a window's first time sits and -1 past its last one
-    edges = np.bincount(np.searchsorted(ts, lo[w]), minlength=len(ts) + 1)
-    edges -= np.bincount(np.searchsorted(ts, hi[w], side="right"), minlength=len(ts) + 1)
-    return np.cumsum(edges[:-1]) == 0
+    k = np.searchsorted(lo, ts, side="right") - 1
+    if not len(hi):
+        return k < 0
+    return (k < 0) | (ts > hi[k])
 
 
 def compare_exact_smoothed(params: Params, h: float, sol: DenseSolution) -> dict:

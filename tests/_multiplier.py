@@ -12,4 +12,4 @@ def one_period_multiplier(params, h_center, eps0=1e-6):
     T = params.period
     plus = propagate(params, ConstantHistory(h_center + eps0), T)
     minus = propagate(params, ConstantHistory(h_center - eps0), T)
-    return (plus.end_value - minus.end_value) / (2.0 * eps0)
+    return (plus.values[-1] - minus.values[-1]) / (2.0 * eps0)

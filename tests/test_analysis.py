@@ -191,6 +191,22 @@ def test_coexistence_refuses_a_horizon_below_three(horizon, monkeypatch):
     assert classified == []
 
 
+def test_coexistence_refuses_a_shift_identity_lost_to_rounding():
+    # the canonical pair with both levels scaled by 1e6: the orbits scale
+    # with the levels, and the shifted paths differ by 1.9e-9 in rounding,
+    # above the absolute SHIFT_TOL
+    with pytest.raises(PairingFailed, match="shift identity violated: sup distance 1.863e-09"):
+        coexistence_check(Params(1e6, 6e6, 3.0, 1.0))
+
+
+def test_coexistence_refuses_a_tail_short_of_the_dual_orbit():
+    # with 22 double periods the +1e-3 perturbation settles in the 20th, the
+    # last one checked and also the tail window, which still lies 1.2e-6 from
+    # the dual orbit
+    with pytest.raises(PairingFailed, match="settled 1.172e-06 away from the dual orbit"):
+        coexistence_check(Params(1.0, 6.0, 3.0, 1.0), horizon_periods=22)
+
+
 def test_coexistence_requires_validated_dual_orbit():
     # the dual of this point has d < 0, so no stable period-2T orbit exists
     with pytest.raises(PairingFailed, match="dual"):

@@ -80,7 +80,7 @@ def test_simulate_csv_bytes_match_the_whole_table_writer(delta, t_end, chunk, to
         want = csv_reference(["t", "x", "dx"], zip(*(c.tolist() for c in columns)))
     else:
         path = propagate(params, ConstantHistory(-0.25), t_end)
-        want = csv_reference(["t", "x"], path.breakpoints)
+        want = csv_reference(["t", "x"], zip(path.times, path.values))
     n = want.count("\n") - 1
     if chunk is not None:
         monkeypatch.setattr(cli_module, "_CHUNK", chunk(n))
@@ -120,7 +120,7 @@ def test_csv_tables_are_written_one_block_of_chunk_rows_at_a_time(delta, t_end, 
                              zip(*(c.tolist() for c in (sol.times, sol.values, sol.derivs))))
     else:
         path = propagate(params, ConstantHistory(-0.25), t_end)
-        want = csv_reference(["t", "x"], path.breakpoints)
+        want = csv_reference(["t", "x"], zip(path.times, path.values))
     n = want.count("\n") - 1
     assert n > 2 * cli_module._CHUNK
     out = _CountingStdout()
@@ -182,7 +182,7 @@ def test_simulate_exact_json_payload(capsys):
                  "--h", "-0.25", "--t-end", "4", "--delta", "0", "--format", "json"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert list(blob) == ["start_time", "breakpoints", "segments", "zeros"]
-    assert [tuple(bp) for bp in blob["breakpoints"]] == list(path.breakpoints)
+    assert [tuple(bp) for bp in blob["breakpoints"]] == list(zip(path.times, path.values))
     assert blob["start_time"] == 0.0
     assert blob["breakpoints"][0] == [0.0, -0.25]
     assert blob["zeros"] == zeros(path)

@@ -70,7 +70,7 @@ def test_propagate_rejects_bad_horizon():
         propagate(params, ConstantHistory(-0.25), 1e300)
     with pytest.raises(ValueError, match="above the cap"):
         propagate(params, ConstantHistory(-0.25), 166_584.0)
-    assert propagate(params, ConstantHistory(-0.25), 16_000.0).end_time == 16_000.0
+    assert propagate(params, ConstantHistory(-0.25), 16_000.0).times[-1] == 16_000.0
 
 
 def test_propagate_rejects_non_finite_start_time():
@@ -85,8 +85,8 @@ def test_known_periodic_orbit_two_zero():
     # first zero at -h/a1, second two delay units later, exact closure at T
     params = Params(1.0, 0.25, 2.5, 1.5)
     path = propagate(params, ConstantHistory(-0.25), 4.0)
-    assert path.end_time == 4.0
-    assert abs(path.end_value + 0.25) < 1e-12
+    assert path.times[-1] == 4.0
+    assert abs(path.values[-1] + 0.25) < 1e-12
     zs = zeros(path)
     assert len(zs) == 2
     assert abs(zs[0] - 0.25) < 1e-12
@@ -96,7 +96,7 @@ def test_known_periodic_orbit_two_zero():
 def test_known_periodic_orbit_steep():
     params = Params(1.0, 6.0, 3.0, 1.0)
     path = propagate(params, ConstantHistory(-0.5), 4.0)
-    assert abs(path.end_value + 0.5) < 1e-12
+    assert abs(path.values[-1] + 0.5) < 1e-12
     zs = zeros(path)
     assert len(zs) == 2
     assert abs(zs[0] - 0.5) < 1e-12
@@ -121,7 +121,7 @@ def test_coincident_flip_and_switch():
     # coefficient switch at p1 = 3.5; the orbit still closes exactly
     params = Params(4.0, 1.0, 3.5, 2.0)
     path = propagate(params, ConstantHistory(-2.0), 5.5)
-    assert abs(path.end_value + 2.0) < 1e-12
+    assert abs(path.values[-1] + 2.0) < 1e-12
     zs = zeros(path)
     assert len(zs) == 2
     assert abs(zs[0] - 0.5) < 1e-12
@@ -183,7 +183,7 @@ def test_agrees_with_euler_reference():
         t_end = 2.0 * params.period
         path = propagate(params, ConstantHistory(h), t_end)
         t, x = euler_reference(a1, a2, p1, p2, h, t_end, dt=1e-4)
-        keep = t <= path.end_time
+        keep = t <= path.times[-1]
         exact = np.array([path.value_at(s) for s in t[keep]])
         assert np.max(np.abs(exact - x[keep])) < 5e-3
 
@@ -201,7 +201,7 @@ def test_one_period_map_matches_two_zero_formula():
         for h in hs:
             path = propagate(params, ConstantHistory(h), params.period)
             want = m * h - b
-            assert abs(path.end_value - want) < 1e-9 * max(1.0, abs(want))
+            assert abs(path.values[-1] - want) < 1e-9 * max(1.0, abs(want))
             assert len(zeros(path)) == 2
 
 
@@ -213,10 +213,10 @@ def test_one_period_map_matches_one_zero_formula():
     for h in (-2.4, -1.8, -1.0):
         one = propagate(params, ConstantHistory(h), params.period)
         want = k * h + d
-        assert abs(one.end_value - want) < 1e-9 * max(1.0, abs(want))
+        assert abs(one.values[-1] - want) < 1e-9 * max(1.0, abs(want))
         two = propagate(params, ConstantHistory(h), 2.0 * params.period)
         want2 = k * k * h + (k - 1.0) * d
-        assert abs(two.end_value - want2) < 1e-9 * max(1.0, abs(want2))
+        assert abs(two.values[-1] - want2) < 1e-9 * max(1.0, abs(want2))
 
 
 def test_zeros_interpolation_and_merge():
@@ -263,24 +263,36 @@ levels = st.floats(0.1, 10.0)
 stretches = st.floats(0.1, 5.0)
 
 
+def _ulps(x, n):
+    """x moved by n ulp, up for n > 0 and down for n < 0."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
 @st.composite
 def runs(draw):
     """(params, h, start_time, t_end): start_time is 0, p1, arbitrary, or a
     few ulp from a switch k*T or k*T + p1, where the switch schedule's
-    one-period lookback decides which switch comes first."""
+    one-period lookback decides which switch comes first; t_end lies half a
+    period to eight periods later, or a few ulp from a switch, where the
+    walk must not pass a switch past t_end."""
     a1, a2, p1 = draw(levels), draw(levels), draw(stretches)
     p2 = draw(st.floats(max(0.1, 1.0 - p1 + 1e-3), 5.0))
     params = Params(a1, a2, p1, p2)
+    T = params.period
     h = draw(st.floats(1e-3, 10.0)) * draw(st.sampled_from((-1.0, 1.0)))
     start = draw(st.sampled_from((0.0, p1, None, "switch")))
     if start is None:
         start = draw(st.floats(-50.0, 50.0))
     elif start == "switch":
-        start = draw(st.integers(-10, 10)) * params.period + draw(st.sampled_from((0.0, p1)))
-        ulps = draw(st.integers(-4, 4))
-        for _ in range(abs(ulps)):
-            start = math.nextafter(start, math.copysign(math.inf, ulps))
-    return params, h, start, start + draw(st.floats(0.5, 8.0)) * params.period
+        start = draw(st.integers(-10, 10)) * T + draw(st.sampled_from((0.0, p1)))
+        start = _ulps(start, draw(st.integers(-4, 4)))
+    if draw(st.booleans()):
+        k = math.floor(start / T) + draw(st.integers(2, 8))
+        return params, h, start, _ulps(k * T + draw(st.sampled_from((0.0, p1))),
+                                       draw(st.integers(-4, 4)))
+    return params, h, start, start + draw(st.floats(0.5, 8.0)) * T
 
 
 @PROPERTY_RUNS

@@ -363,12 +363,12 @@ def test_classified_orbits_close_under_propagation():
                 continue
             if v.kind in ("StableT", "UnstableT"):
                 path = propagate(p, ConstantHistory(v.h_star), p.period)
-                assert abs(path.end_value - v.h_star) < 1e-9 * max(1.0, abs(v.h_star))
+                assert abs(path.values[-1] - v.h_star) < 1e-9 * max(1.0, abs(v.h_star))
                 closed += 1
             elif v.kind == "Stable2T":
                 lo = v.h_star[0]
                 path = propagate(p, ConstantHistory(lo), 2.0 * p.period)
-                assert abs(path.end_value - lo) < 1e-9 * max(1.0, abs(lo))
+                assert abs(path.values[-1] - lo) < 1e-9 * max(1.0, abs(lo))
                 closed += 1
     assert closed > 20
 

@@ -17,9 +17,11 @@ from relaydde import model, numeric
 from relaydde.exact import ConstantHistory, propagate, zeros
 from relaydde.model import Params, Profile, SmoothingSpec
 from relaydde.numeric import (
+    BREAK_TOL,
     DenseSolution,
     _coefficient_array,
     _nonlinearity_array,
+    _outside,
     compare_exact_smoothed,
     corner_windows,
     integrate,
@@ -250,6 +252,20 @@ def test_smoothexp_profile_oscillates():
     assert np.max(np.abs(sol.values_at(ts + 8.0) - sol.values_at(ts))) < 0.05
 
 
+def test_outside_marks_every_time_when_there_are_no_windows():
+    lo, hi = np.array(()).reshape(-1, 2).T  # as compare_exact_smoothed splits no windows
+    assert _outside(np.array([-1.0, 0.0, 0.5, 7.0]), lo, hi).tolist() == [True] * 4
+
+
+def test_outside_keeps_the_one_time_between_windows_one_ulp_apart():
+    # the windows [0.5, 1] and [1 + 2u, 2] leave exactly one double, 1 + u,
+    # outside them; the bounds themselves are inside
+    up = lambda x: float(np.nextafter(x, np.inf))
+    lo, hi = np.array([0.5, up(up(1.0))]), np.array([1.0, 2.0])
+    ts = np.array([0.25, 0.5, 1.0, up(1.0), up(up(1.0)), 2.0, up(2.0)])
+    assert _outside(ts, lo, hi).tolist() == [True, False, False, True, False, False, True]
+
+
 def test_corner_windows_merge_and_clip():
     params = Params(1.0, 0.25, 2.5, 1.5)
     wins = corner_windows(params, 0.1, [0.25], 5.0)
@@ -358,6 +374,22 @@ def test_integrate_grows_its_buffer_and_matches_the_stepwise_reference():
     switches = list(model.switch_times(params, 0.0, t_end + smoothing.delta))
     reserved = math.ceil(t_end / sol.step) + 2 * len(switches) + math.ceil(t_end) + 17
     assert len(sol.times) > reserved
+    _assert_matches_the_stepwise_reference(sol, run)
+
+
+@pytest.mark.parametrize("offset, admitted", [(-5e-10, False), (5e-10, False),
+                                              (-2e-9, True), (2e-9, True)])
+def test_an_echo_within_break_tol_of_a_ramp_edge_is_dropped(offset, admitted):
+    # a1 == a2, so x = h + t on [0, 1] and its zero at -h echoes at 1 - h,
+    # offset from the ramp edge p1 - delta; one knot near the edge is kept
+    # unless the echo lies more than BREAK_TOL from it
+    run = (Params(1.0, 1.0, 1.5, 1.5), SmoothingSpec(0.05), -(0.45 + offset), 4.0)
+    sol = integrate(*run)
+    edge = 1.5 - 0.05
+    near = [e - edge for e in sol.events if abs(e - edge) < 1e-8]
+    assert 0.0 in near and len(near) == 1 + admitted
+    assert all(abs(d - offset) < 1e-14 for d in near if d)
+    assert all(b - a > BREAK_TOL for a, b in zip(sol.events, sol.events[1:]))
     _assert_matches_the_stepwise_reference(sol, run)
 
 

@@ -104,7 +104,7 @@ def test_true_orbits_close_under_propagation():
         span = row.true_period_multiple * row.params.period
         path = propagate(row.params, ConstantHistory(row.true_h), span)
         scale = max(1.0, abs(row.true_h))
-        assert abs(path.end_value - row.true_h) <= 1e-9 * scale, \
+        assert abs(path.values[-1] - row.true_h) <= 1e-9 * scale, \
             (row.table_id, row.index)
     assert seen == 14
 
