@@ -19,6 +19,8 @@ hyphens or underscores; a repeated key is refused) enters the command line
 as --flag=value tokens ahead of the explicit flags, which therefore win.
 A relative --output path is placed under $RELAYDDE_OUTDIR when that is
 set; the directory is created if needed.
+main sets OPENBLAS_NUM_THREADS=1 unless it is set or numpy is already
+loaded; the library modules leave the environment alone.
 This module is the only one that turns results into text: _emit writes
 every CSV and JSON payload; CSV numbers use the shortest text that parses
 back to the same double.
@@ -347,6 +349,12 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # relaydde calls no BLAS routine, and on a small machine an idle OpenBLAS
+        # worker slows the smoothed commands' start-up. Once numpy is loaded,
+        # OpenBLAS has read its environment, and a default would only reach
+        # this process's children.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, schema = _build_parser()
     pre = argparse.ArgumentParser(prog="relaydde", add_help=False)

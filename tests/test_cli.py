@@ -6,8 +6,9 @@ gets written.  The over-the-cap refusals run the CLI in a subprocess under
 a timeout, so a request that starts its work instead of refusing it fails
 the test rather than hanging the run; the hash-seed check runs one
 subprocess per PYTHONHASHSEED, which is fixed when an interpreter starts,
-and the numpy check runs each command in a fresh interpreter, because a
-module once imported stays in sys.modules.
+and the numpy and BLAS-thread checks run each command in a fresh
+interpreter, because a module once imported stays in sys.modules and
+OpenBLAS reads OPENBLAS_NUM_THREADS only when numpy loads.
 """
 
 import io
@@ -208,9 +209,11 @@ def test_simulate_exact_refuses_smoothing_flags(flag, tmp_path, capsys):
 
 
 def _python(args, **env_vars):
-    """A fresh interpreter on this package, with its real stderr, under a timeout."""
+    """A fresh interpreter on this package, with its real stderr, under a timeout;
+    an env_vars value of None removes that variable."""
     src = str(Path(relaydde.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, **env_vars}
+    env = {name: value for name, value in {**os.environ, "PYTHONPATH": src, **env_vars}.items()
+           if value is not None}
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
 
@@ -582,8 +585,9 @@ def test_non_finite_state_names_where_it_happened():
 
 
 # Runs main(argv) when given arguments, or only imports the package, and
-# reports on its last three stderr lines whether numpy was loaded, which
-# relaydde submodules were, and dir(relaydde).
+# reports on its last five stderr lines whether numpy was loaded, which
+# relaydde submodules were, dir(relaydde), OPENBLAS_NUM_THREADS and, on
+# Linux, the process's OS thread count (null elsewhere).
 _NUMPY_PROBE = """
 import sys
 import relaydde
@@ -592,9 +596,15 @@ if sys.argv[1:]:
     from relaydde.cli import main
     code = main(sys.argv[1:])
 import json
+import os
 modules = sorted(m for m in sys.modules if m.startswith("relaydde."))
+threads = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status") as status:
+        threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
 sys.stderr.write(f"\\nnumpy loaded: {'numpy' in sys.modules}\\n{json.dumps(modules)}\\n"
-                 f"{json.dumps(dir(relaydde))}\\n")
+                 f"{json.dumps(dir(relaydde))}\\n"
+                 f"{json.dumps(os.environ.get('OPENBLAS_NUM_THREADS'))}\\n{threads}\\n")
 raise SystemExit(code)
 """
 
@@ -623,9 +633,43 @@ _FRESH_DIR = sorted([*relaydde.__all__, "__all__", "__builtins__", "__cached__",
 ], ids=["import", "classify", "tables", "coexist", "scan", "simulate-exact",
         "simulate-smoothed", "smooth"])
 def test_numpy_loads_only_for_smoothed_work(argv, code, loads_numpy, modules):
-    done = _python(["-c", _NUMPY_PROBE, *argv])
+    # the child starts without OPENBLAS_NUM_THREADS, so main's default shows:
+    # one thread, and no idle OpenBLAS worker beside it
+    done = _python(["-c", _NUMPY_PROBE, *argv], OPENBLAS_NUM_THREADS=None)
     assert done.returncode == code, done.stderr
-    numpy_line, modules_line, dir_line = done.stderr.splitlines()[-3:]
+    numpy_line, modules_line, dir_line, blas_line, threads_line = done.stderr.splitlines()[-5:]
     assert numpy_line == f"numpy loaded: {loads_numpy}"
     assert json.loads(modules_line) == [f"relaydde.{m}" for m in modules.split()]
     assert json.loads(dir_line) == sorted(_FRESH_DIR + (["cli"] if argv else []))
+    assert json.loads(blas_line) == ("1" if argv else None)
+    if sys.platform.startswith("linux"):
+        assert threads_line == "1"
+
+
+def test_a_blas_thread_count_the_caller_set_is_kept():
+    argv = ["simulate", *_POINT, "--h", "-0.25", "--t-end", "4", "--delta", "0.3"]
+    done = _python(["-c", _NUMPY_PROBE, *argv], OPENBLAS_NUM_THREADS="2")
+    assert done.returncode == 0, done.stderr
+    numpy_line, _, _, blas_line, _ = done.stderr.splitlines()[-5:]
+    assert numpy_line == "numpy loaded: True"
+    assert json.loads(blas_line) == "2"
+
+
+def test_no_blas_default_once_numpy_is_loaded(monkeypatch, capsys):
+    # OpenBLAS read its environment when numpy loaded; a default set now
+    # would only reach this process's children
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert "numpy" in sys.modules
+    assert main(["classify", *_POINT]) == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *_POINT, "--h", "-0.25", "--delta", "0.3", "--t-end", "300"],
+    ["smooth", *_POINT, "--h", "-0.25", "--deltas", "0.2,0.1"],
+], ids=["simulate-smoothed-csv", "smooth-json"])
+def test_smoothed_output_does_not_depend_on_the_blas_threads(argv):
+    runs = [_run_cli(argv, OPENBLAS_NUM_THREADS=n) for n in (None, "2")]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.startswith("t,x,dx\n" if argv[0] == "simulate" else "{")

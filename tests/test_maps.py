@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relaydde.maps as maps_module
 from relaydde.exact import ConstantHistory, propagate
 from relaydde.maps import (
     BasinDescriptor,
@@ -401,6 +402,28 @@ def test_classify_reports_a_stalled_candidate_as_shape_invalid():
     assert reason.startswith("unstable two-zero candidate: zero does not lie after the "
                              f"current event at t = {params.p1!r}, x = ")
     assert ", x = " in reason and reason.endswith(f"at {params}")
+
+
+def test_one_zero_candidate_that_misses_its_two_period_return_is_shape_invalid(monkeypatch):
+    # a crafted path with one zero per period and x(T) = -h, but x(2T) = 2h:
+    # only the two-period return check can refuse it
+    params = Params(5.0, 1.0, 1.0, 3.5)
+    (verdict,) = classify(params)
+    assert verdict.kind == "Stable2T" and verdict.validated
+    h, T = verdict.h_star[0], params.period
+    spans = []
+
+    def crafted(p, level, t_end, start_time):
+        spans.append((p, level, t_end, start_time))
+        return [0.0, 1.0, T, T + 1.0, 2.0 * T], [level, 0.0, -level, 0.0, 2.0 * level], \
+            [1.0, T + 1.0]
+
+    monkeypatch.setattr(maps_module, "_event_loop", crafted)
+    (verdict,) = classify(params)
+    assert spans == [(params, h, 2.0 * T, 0.0)]
+    assert verdict.kind == "ShapeInvalid" and not verdict.validated
+    assert verdict.reason == (f"one-zero two-cycle candidate: two-period endpoint "
+                              f"{2.0 * h!r} does not return to {h!r}")
 
 
 def test_classify_reports_an_overflowed_candidate_level_as_shape_invalid():
