@@ -5,8 +5,8 @@ the relay feedback f(x(t - 1)) is locked to +-1 by the sign of the delayed
 value and a(t) is constant between switch times.  Solutions are therefore
 piecewise affine, and the dynamics is advanced exactly from event to event:
 
-  * coefficient switch times k*T and k*T + p1, with the level each one
-    starts, walked in place in the order model.switch_times lists them,
+  * coefficient switch times k*T and k*T + p1, walked in place in the order
+    model.switch_times lists them; the walk gives every level of a(t),
   * feedback flips one delay unit after each zero of the solution,
   * zeros of the solution, found in closed form on each affine piece.
 
@@ -33,7 +33,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .model import MAX_WORK, Params, RelayDDEError, _first_period, coefficient_value
+from .model import MAX_WORK, Params, RelayDDEError, _first_period
 
 # Two event times closer than this are treated as one simultaneous event.
 TIME_TOL = 1e-12
@@ -141,26 +141,24 @@ def _event_loop(
     placed_all = params.a1 > 1e-280 and params.a2 > 1e-280
     fb = 1.0 if h < 0.0 else -1.0
     t_flip = inf  # pending feedback flip time; at most one is ever pending
-    # level on the current piece; a switch within TIME_TOL of t counts as passed
-    level = coefficient_value(params, start_time)
-    # the next switch t_switch and the level it starts, walked in place from
-    # the first switch at or after start_time - TIME_TOL: k*T starts a1 and
-    # k*T + p1 starts a2, period after period, as switch_times lists them
+    # the next switch t_switch, walked in place from the first one at or after
+    # start_time - TIME_TOL, and the level before it: k*T starts a1 and
+    # k*T + p1 starts a2, period after period, as switch_times lists them;
+    # a switch within TIME_TOL of t counts as passed
     T, p1, a1, a2 = params.period, params.p1, params.a1, params.a2
     k = _first_period(params, start_time - tol)
     in_second = k * T < start_time - tol  # the first switch is k*T + p1
-    t_switch, next_level = (k * T + p1, a2) if in_second else (k * T, a1)
+    t_switch, level = (k * T + p1, a1) if in_second else (k * T, a2)
     t_last = t_end - tol
     for _ in range(budget):  # at most budget events; the else clause runs when all are used
         if not t < t_last:
             break
         while t_switch <= t + tol:  # t + tol <= t_end, so no switch past t_end is taken
-            level = next_level
             if in_second:
                 k += 1
-                t_switch, next_level = k * T, a1
+                t_switch, level = k * T, a2
             else:
-                t_switch, next_level = k * T + p1, a2
+                t_switch, level = k * T + p1, a1
             in_second = not in_second
         t_stop = t_switch if t_switch < t_end else t_end
         if t_flip < t_stop:

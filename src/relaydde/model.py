@@ -101,7 +101,7 @@ def _first_period(params: Params, start: float) -> int:
     Each period k has two switches: k*T starts a1 and k*T + p1 starts a2.
     switch_times lists them in that order, period after period, and exact's
     event loop walks them the same way from the first one at or after its
-    start.
+    start, before which the level is a1 if that switch is k*T + p1, else a2.
     """
     T, p1 = params.period, params.p1
     k = math.floor(start / T) - 1  # one period early, in case start / T rounds up
@@ -139,8 +139,9 @@ def validate_geometry(params: Params, smoothing: SmoothingSpec) -> None:
 def coefficient_value(params: Params, t: float) -> float:
     """Value of the sharp two-level coefficient at time t.
 
-    The smoothed ramps are numeric._coefficient_array's; exact.propagate
-    reads this step once per run, for the level at its start time.
+    The smoothed ramps are numeric._coefficient_array's.  No module of the
+    package reads this step; it stays public as a(t) for callers, and its
+    removal waits until the benchmark harness no longer traces it.
     """
     T = params.period
     phase = t % T

@@ -1,8 +1,11 @@
 """Reference event loop for exact.propagate, in its plain form.
 
-The same rules and the same float operations in the same order as
-``propagate``, written plainly: ``min`` of the three stop times, the zero
-candidate held in ``z`` across two branches, and module-level names.
+After the start, the same rules and the same float operations in the same
+order as ``propagate``, written plainly: ``min`` of the three stop times,
+the zero candidate held in ``z`` across two branches, and module-level
+names.  The level at the start time is computed independently: by modulo
+phase, from ``_stepwise``'s sharp step, where ``propagate`` reads it off
+its own switch walk, so no level code is shared between the two.
 ``propagate`` must return the same knot times and values bit for bit.
 Its messages predate the ones that name t, x and the params.
 """
@@ -10,7 +13,9 @@ Its messages predate the ones that name t, x and the params.
 import math
 
 from relaydde.exact import TIME_TOL, DegenerateStall, PiecewisePath
-from relaydde.model import MAX_WORK, coefficient_value, switch_times
+from relaydde.model import MAX_WORK, switch_times
+
+from _stepwise import coefficient_value
 
 
 def propagate_reference(params, history, t_end, *, start_time=0.0):

@@ -13,6 +13,7 @@ OpenBLAS reads OPENBLAS_NUM_THREADS only when numpy loads.
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -570,6 +571,17 @@ def test_overflowed_candidate_levels_exit_zero_with_finite_json(argv):
             "stable two-zero candidate: starting level is not finite",
             "one-zero two-cycle candidate: starting level is not finite",
         ]
+
+
+def test_underflowed_candidate_level_exits_zero_with_finite_json(capsys):
+    # h* = b / (m - 1) underflows to -0.0: the ShapeInvalid verdict keeps it
+    code = main(["classify", "--a1", "1e-150", "--a2", "1e150", "--p1", "1.5", "--p2", "3.0"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    verdicts = _strict_json(captured.out)["verdicts"]
+    assert [v["kind"] for v in verdicts] == ["Diverges2T", "ShapeInvalid"]
+    assert verdicts[1]["reason"] == "unstable two-zero candidate: starting level is not negative"
+    assert math.copysign(1.0, verdicts[1]["h_star"]) == -1.0 and verdicts[1]["h_star"] == 0.0
 
 
 def test_non_finite_state_names_where_it_happened():

@@ -367,6 +367,34 @@ def test_property_event_loop_knots_and_zeros_match_the_reference(run):
 
 
 @st.composite
+def far_runs(draw):
+    """runs()' levels and stretches, with start_time within 4 ulp of k*T or
+    k*T + p1 for |k| log-uniform in [1e4, 1e6], where ulp(start_time) passes
+    TIME_TOL as T > 1, and t_end half a period to four periods later."""
+    a1, a2, p1 = draw(levels), draw(levels), draw(stretches)
+    p2 = draw(st.floats(max(0.1, 1.0 - p1 + 1e-3), 5.0))
+    params = Params(a1, a2, p1, p2)
+    T = params.period
+    h = draw(st.floats(1e-3, 10.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    k = round(10.0 ** draw(st.floats(4.0, 6.0))) * draw(st.sampled_from((-1, 1)))
+    start = k * T + draw(st.sampled_from((0.0, p1)))
+    start = _ulps(start, draw(st.integers(-4, 4)))
+    return params, h, start, start + draw(st.floats(0.5, 4.0)) * T
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(far_runs())
+def test_property_event_loop_matches_the_reference_far_from_time_zero(run):
+    # the loop reads its start level off its switch walk, the reference by
+    # modulo phase; far from 0 the two see k*T rounded, and must still agree
+    params, h, start, t_end = run
+    times, values, zs = _event_loop(params, h, t_end, start)
+    ref = propagate_reference(params, ConstantHistory(h), t_end, start_time=start)
+    assert (tuple(times), tuple(values)) == (ref.times, ref.values)
+    assert zs == zeros(ref)
+
+
+@st.composite
 def extreme_runs(draw):
     """runs() with levels and history log-uniform in 10^[-8, 8]."""
     a1, a2 = (10.0 ** draw(st.floats(-8.0, 8.0)) for _ in range(2))

@@ -436,3 +436,14 @@ def test_classify_reports_an_overflowed_candidate_level_as_shape_invalid():
         "one-zero two-cycle candidate: starting level is not finite",
     ]
     assert all(v.h_star is None and v.period is None for v in verdicts)
+
+
+def test_classify_reports_an_underflowed_candidate_level_as_shape_invalid():
+    # b = -5e-151 and m ~ 2e300, so h* = b / (m - 1) underflows to -0.0,
+    # which is finite but not negative; it is reported, not propagated
+    verdicts = classify(Params(1e-150, 1e150, 1.5, 3.0))
+    assert [v.kind for v in verdicts] == ["Diverges2T", "ShapeInvalid"]
+    invalid = verdicts[1]
+    assert invalid.reason == "unstable two-zero candidate: starting level is not negative"
+    assert invalid.h_star == 0.0 and math.copysign(1.0, invalid.h_star) == -1.0
+    assert invalid.period is None and not invalid.validated
