@@ -40,11 +40,20 @@ TIME_TOL = 1e-12
 
 
 class DegenerateStall(RelayDDEError):
-    """Raised if event tracking loses the slow oscillation invariant."""
+    """Raised if event tracking loses the slow oscillation invariant.
+
+    t, x and params locate the stall: the event time, the state there and
+    the run's parameters; each is None when only a message was given.
+    """
+
+    def __init__(self, message: str, t: float | None = None, x: float | None = None,
+                 params: Params | None = None) -> None:
+        super().__init__(message)
+        self.t, self.x, self.params = t, x, params
 
 
 def _stall(what: str, t: float, x: float, params: Params) -> DegenerateStall:
-    return DegenerateStall(f"{what} at t = {t!r}, x = {x!r}, at {params}")
+    return DegenerateStall(f"{what} at t = {t!r}, x = {x!r}, at {params}", t, x, params)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,17 @@ knot is inserted as soon as its crossing is found. ``integrate`` must match
 it bit for bit. The two scalar functions are the reference forms of
 ``numeric._coefficient_array`` and ``numeric._nonlinearity_array``, which
 must also match them bit for bit, and ``coefficient_value`` without
-smoothing is ``model.coefficient_value``'s sharp step.
+smoothing is ``model.coefficient_value``'s sharp step. The reference
+interpolates every delayed value and finds every crossing with its own
+``hermite_value`` and ``crossing_time``, so it shares no interpolation or
+root-finding code with ``integrate``.
 """
 
 import bisect
 import math
 
 from relaydde.model import Profile, SmoothingSpec, switch_times, validate_geometry
-from relaydde.numeric import BREAK_TOL, _crossing_time, _hermite_at, run_step
+from relaydde.numeric import BREAK_TOL, run_step
 
 
 def coefficient_value(params, t, smoothing=SmoothingSpec()):
@@ -75,6 +78,47 @@ def nonlinearity_value(smoothing, x):
     return -v if x < 0.0 else v
 
 
+def hermite_value(values, derivs, i, u, dt):
+    """The cubic Hermite interpolant at offset u of the interval of width dt
+    between samples i and i + 1 of the sequences values and derivs."""
+    u2 = u * u
+    u3 = u2 * u
+    out = (2.0 * u3 - 3.0 * u2 + 1.0) * values[i]
+    out += (u3 - 2.0 * u2 + u) * dt * derivs[i]
+    out += (-2.0 * u3 + 3.0 * u2) * values[i + 1]
+    out += (u3 - u2) * dt * derivs[i + 1]
+    return out
+
+
+def crossing_time(t0, t1, x0, d0, x1, d1, level):
+    """Root of the step's Hermite interpolant minus level, if it changes sign:
+    the step's right end if x1 is on the level, else a bisection for a sign
+    change from a nonzero x0 - level."""
+    f0 = x0 - level
+    f1 = x1 - level
+    if f1 == 0.0:
+        return t1
+    if f0 == 0.0 or (f0 > 0.0) == (f1 > 0.0):
+        return None
+    dt = t1 - t0
+    xs, ds = (x0, x1), (d0, d1)
+    lo, hi = 0.0, 1.0
+    flo = f0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = hermite_value(xs, ds, 0, mid, dt) - level
+        if fm == 0.0:
+            return t0 + mid * dt
+        if (fm > 0.0) == (flo > 0.0):
+            lo = mid
+            flo = fm
+        else:
+            hi = mid
+        if (hi - lo) * dt < 1e-15:
+            break
+    return t0 + 0.5 * (lo + hi) * dt
+
+
 def stepwise_integrate(params, smoothing, h, t_end, step=None):
     """(times, values, derivs, events, step) as integrate would store them."""
     step = run_step(params, smoothing, t_end, step)
@@ -101,7 +145,7 @@ def stepwise_integrate(params, smoothing, h, t_end, step=None):
         while ptr + 2 < len(times) and times[ptr + 1] <= q:
             ptr += 1
         t0, t1 = times[ptr], times[ptr + 1]
-        x = _hermite_at(values, derivs, ptr, ptr + 1, (q - t0) / (t1 - t0), t1 - t0)
+        x = hermite_value(values, derivs, ptr, (q - t0) / (t1 - t0), t1 - t0)
         return coefficient_value(params, s, smoothing) * nonlinearity_value(smoothing, x)
 
     def push_echo(tau):
@@ -129,7 +173,7 @@ def stepwise_integrate(params, smoothing, h, t_end, step=None):
             g_right = rhs(t1)
             x_new = x + sub * (g_left + 4.0 * g_mid + g_right) / 6.0
             for lev in levels:
-                tau = _crossing_time(t0, t1, x, g_left, x_new, g_right, lev)
+                tau = crossing_time(t0, t1, x, g_left, x_new, g_right, lev)
                 if tau is not None:
                     push_echo(tau)
             times.append(t1)

@@ -592,6 +592,9 @@ def test_non_finite_state_names_where_it_happened():
     assert done.stderr.startswith("error: state became non-finite near t = 0.00625")
     for name in ("last finite x = -1e+308 at t = 0.0", "a1=1e+308", "delta = 0.1"):
         assert name in done.stderr
+    assert done.stderr == ("error: state became non-finite near t = 0.00625 (last finite "
+                           "x = -1e+308 at t = 0.0) at Params(a1=1e+308, a2=1e+308, p1=1.0, "
+                           "p2=1.0), delta = 0.1\n")
     assert "Traceback" not in done.stderr
     assert "RuntimeWarning" not in done.stderr
 

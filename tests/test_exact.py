@@ -350,6 +350,30 @@ def test_zero_rounding_onto_the_current_knot_stalls_with_its_place():
     msg = str(info.value)
     assert "does not lie after the current event" in msg
     assert f"at t = {params.p1!r}, x = " in msg and msg.endswith(f"at {params}")
+    assert (info.value.t, info.value.params) == (params.p1, params)
+
+
+def test_a_stall_far_from_time_zero_carries_its_place():
+    # the zero offset x / a2 ~ 3.3e-5 is below ulp(t) ~ 1.2e-4, so the
+    # closed-form zero rounds onto the current event (ROADMAP item 5)
+    params = Params(1.907027394621636, 7.080346548840843, 4.341148703056408,
+                    4.390691088339632)
+    with pytest.raises(DegenerateStall) as info:
+        propagate(params, ConstantHistory(-3.9504531753230894), 659039145153.3442,
+                  start_time=659039145122.2524)
+    stall = info.value
+    assert (stall.t, stall.x, stall.params) == (659039145144.0559, 0.00023279143000753955,
+                                                params)
+    assert str(stall) == ("zero does not lie after the current event at t = "
+                          "659039145144.0559, x = 0.00023279143000753955, at Params("
+                          "a1=1.907027394621636, a2=7.080346548840843, "
+                          "p1=4.341148703056408, p2=4.390691088339632)")
+
+
+def test_a_stall_built_from_a_message_alone_has_no_place():
+    stall = DegenerateStall("event budget exceeded")
+    assert str(stall) == "event budget exceeded"
+    assert (stall.t, stall.x, stall.params) == (None, None, None)
 
 
 # --- the event loop's own zero list ------------------------------------------

@@ -19,9 +19,13 @@ from relaydde.model import Params, Profile, SmoothingSpec
 from relaydde.numeric import (
     BREAK_TOL,
     DenseSolution,
+    NonFiniteState,
     _coefficient_array,
+    _hermite_at,
     _nonlinearity_array,
     _outside,
+    _saturated_sides,
+    _saturation_bar,
     compare_exact_smoothed,
     corner_windows,
     integrate,
@@ -349,18 +353,93 @@ def integrate_runs(draw):
     return Params(a1, a2, p1, p2), smoothing, h, t_end, step
 
 
-def _assert_matches_the_stepwise_reference(sol, run):
-    times, values, derivs, events, step = stepwise_integrate(*run)
+def _assert_equals_the_reference(sol, reference):
+    times, values, derivs, events, step = reference
     assert sol.times.tobytes() == np.array(times).tobytes()
     assert sol.values.tobytes() == np.array(values).tobytes()
     assert sol.derivs.tobytes() == np.array(derivs).tobytes()
     assert (sol.events, sol.step) == (events, step)
 
 
+def _assert_matches_the_stepwise_reference(sol, run):
+    _assert_equals_the_reference(sol, stepwise_integrate(*run))
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(integrate_runs())
 def test_property_integrate_matches_the_stepwise_reference(run):
     _assert_matches_the_stepwise_reference(integrate(*run), run)
+
+
+@st.composite
+def band_edge_runs(draw):
+    """integrate_runs() started on +-delta or on +-bar, the saturation bar of
+    the run, or within 4 ulp of one of them."""
+    params, smoothing, _, t_end, step = draw(integrate_runs())
+    edge = draw(st.sampled_from((smoothing.delta, _saturation_bar(params, smoothing, step))))
+    h = draw(st.sampled_from((edge, -edge)))
+    ulps = draw(st.integers(-4, 4))
+    for _ in range(abs(ulps)):
+        h = float(np.nextafter(h, math.copysign(math.inf, ulps)))
+    return params, smoothing, h, t_end, step
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(band_edge_runs())
+def test_property_integrate_matches_the_stepwise_reference_from_the_band_edges(run):
+    # with _CERTIFY_FROM at 0 every pass that mixes certified and uncertified
+    # intervals interpolates only the uncertified queries; at its value only
+    # passes of that many queries do, which few of these short runs reach
+    reference = stepwise_integrate(*run)
+    for certify_from in (0, numeric._CERTIFY_FROM):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_CERTIFY_FROM", certify_from)
+            _assert_equals_the_reference(integrate(*run), reference)
+
+
+@st.composite
+def saturated_intervals(draw):
+    """(smoothing, bar, sign, values, derivs, dt): two samples within 4 ulp
+    of sign * bar, each maybe further out by up to dt * max(a1, a2), as far
+    as neighbouring samples can lie apart; derivatives up to +-max(a1, a2);
+    a width up to the step; levels from 1e-6 to 1e6, both profiles."""
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    a1, a2 = scale * draw(st.floats(0.1, 10.0)), scale * draw(st.floats(0.1, 10.0))
+    p1 = draw(st.floats(0.1, 5.0))
+    p2 = draw(st.floats(max(0.1, 1.0 - p1 + 1e-3), 5.0))
+    params = Params(a1, a2, p1, p2)
+    delta = draw(st.floats(1e-4, min(0.999, 0.499 * min(p1, p2))))
+    smoothing = SmoothingSpec(delta, draw(st.sampled_from(tuple(Profile))))
+    step = run_step(params, smoothing, 1.0) * draw(st.sampled_from((1.0, 0.5, 0.37)))
+    bar = _saturation_bar(params, smoothing, step)
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    reach = max(a1, a2)
+
+    def end_or_between(ends, lo, hi):
+        v = draw(st.sampled_from(ends + (None,)))
+        return draw(st.floats(lo, hi)) if v is None else v
+
+    dt = step * end_or_between((1.0,), 1e-6, 1.0)
+    values = []
+    for _ in range(2):
+        v = sign * (bar + dt * reach * end_or_between((0.0, 1.0), 0.0, 1.0))
+        values.append(v + draw(st.integers(-4, 4)) * math.ulp(v))
+    derivs = [reach * end_or_between((-1.0, 1.0), -1.0, 1.0) for _ in range(2)]
+    return smoothing, bar, sign, values, derivs, dt
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(saturated_intervals(), st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_property_a_certified_interval_interpolates_a_saturated_nonlinearity(case, us):
+    smoothing, bar, sign, values, derivs, dt = case
+    values, derivs = np.array(values), np.array(derivs)
+    side = int(_saturated_sides(values, bar)[0])
+    assert side == (sign if min(sign * values) >= bar else 0.0)
+    if side:
+        # the bound u (1 - u) peaks at 1/2
+        u = np.array([0.0, 1.0, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), 0.5, *us])
+        x = _hermite_at(values, derivs, 0, 1, u, dt)
+        assert _nonlinearity_array(smoothing, x).tolist() == [-sign] * len(u)
 
 
 def test_integrate_grows_its_buffer_and_matches_the_stepwise_reference():
@@ -455,6 +534,30 @@ def test_values_at_returns_the_stored_values_at_the_stored_times(profile, t_end)
     keep = sol.times >= 0.0
     assert sol.values_at(sol.times[keep]).tobytes() == sol.values[keep].tobytes()
     assert sol.values_at(sol.end_time) == sol.values[-1]
+
+
+def test_non_finite_state_carries_the_last_finite_state():
+    # levels of 1e308 take the first step past the double range; the bar
+    # is about 1.9e305, so the history is certified saturated below
+    params = Params(1e308, 1e308, 1.0, 1.0)
+    with pytest.raises(NonFiniteState) as info:
+        integrate(params, SmoothingSpec(0.1), -1e308, 3.0)
+    err = info.value
+    assert (err.t, err.x, err.params) == (0.0, -1e308, params)
+    assert str(err) == ("state became non-finite near t = 0.00625 (last finite x = -1e+308 "
+                        "at t = 0.0) at Params(a1=1e+308, a2=1e+308, p1=1.0, p2=1.0), "
+                        "delta = 0.1")
+    err = NonFiniteState("state became non-finite")
+    assert (str(err), err.t, err.x, err.params) == ("state became non-finite", None, None, None)
+
+
+@pytest.mark.parametrize("h", [-1.0, 0.0, 1e308])
+def test_an_overflowing_rhs_raises_non_finite_state_and_warns_nothing(h):
+    # g_left + 4 g_mid + g_right and, on the ramps, (a1 - a2) (phase + delta)
+    # overflow, whether the history is certified saturated (h = 1e308) or not;
+    # RuntimeWarning is an error in this suite
+    with pytest.raises(NonFiniteState, match="state became non-finite near t = 0.0"):
+        integrate(Params(1.7e308, 1.0, 3.0, 3.0), SmoothingSpec(0.99), h, 3.0)
 
 
 def test_integrate_checks_the_geometry_once(monkeypatch):
